@@ -7,7 +7,7 @@
 //   faults armed, replayed at 1, 4 and 8 workers. Every injected fault
 //   must be absorbed by a retry, and the final ledger must be
 //   byte-identical across worker counts. The journal must restore a
-//   fresh marketplace bit-identically (RestoreFromJournal CSV == live
+//   fresh marketplace bit-identically (RestoreFromCheckpoint CSV == live
 //   CSV) after every run.
 //
 //   Phase 2 (overload): multiple submitter threads blast bursts larger
@@ -75,6 +75,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <string>
@@ -104,9 +105,11 @@ using nimbus::Rng;
 using nimbus::Status;
 using nimbus::StatusCode;
 using nimbus::market::Broker;
+using nimbus::market::Catalog;
 using nimbus::market::CheckpointPolicy;
 using nimbus::market::Journal;
 using nimbus::market::Marketplace;
+using nimbus::market::ShardOptions;
 using nimbus::service::MarketService;
 using nimbus::service::PurchaseRequest;
 using nimbus::service::PurchaseResult;
@@ -240,7 +243,7 @@ std::string TempJournalPath(const std::string& tag) {
          ".waj";
 }
 
-Marketplace MakeMarket(uint64_t seed, bool use_curve_cache = true) {
+Marketplace MakeMarket(uint64_t seed) {
   Rng rng(seed);
   nimbus::data::ClassificationSpec spec;
   spec.num_examples = 300;
@@ -252,7 +255,6 @@ Marketplace MakeMarket(uint64_t seed, bool use_curve_cache = true) {
   options.samples_per_curve_point = 50;
   options.min_inverse_ncp = 1.0;
   options.max_inverse_ncp = 50.0;
-  options.use_curve_cache = use_curve_cache;
   Marketplace market(nimbus::data::Split(all, 0.75, rng), options);
   auto points = nimbus::market::MakeBuyerPoints(
       nimbus::market::ValueShape::kConcave,
@@ -269,6 +271,47 @@ Marketplace MakeMarket(uint64_t seed, bool use_curve_cache = true) {
   return market;
 }
 
+// One marketplace served the way MarketService serves every marketplace:
+// the only shard ("solo") of a catalog rooted at a fresh per-process
+// directory, with its journal at journal_path(). The directory is
+// removed on destruction; declare the service after this, so it drains
+// first.
+class SoloCatalog {
+ public:
+  SoloCatalog(const std::string& tag, uint64_t market_seed,
+              ShardOptions shard_defaults = {})
+      : root_(TempJournalPath(tag) + ".d") {
+    std::filesystem::remove_all(root_);
+    nimbus::market::CatalogOptions options;
+    options.root_dir = root_;
+    options.shard_defaults = std::move(shard_defaults);
+    catalog_ = std::make_unique<Catalog>(options);
+    const Status added = catalog_->AddProduct(
+        "solo", [market_seed]() -> nimbus::StatusOr<Marketplace> {
+          return MakeMarket(market_seed);
+        });
+    if (!added.ok()) {
+      std::fprintf(stderr, "catalog setup failed: %s\n",
+                   added.ToString().c_str());
+      std::exit(2);
+    }
+  }
+  ~SoloCatalog() {
+    catalog_.reset();
+    std::filesystem::remove_all(root_);
+  }
+
+  Catalog* catalog() { return catalog_.get(); }
+  Marketplace& market() { return *catalog_->shard(0)->market(); }
+  const std::string& journal_path() const {
+    return catalog_->shard(0)->journal_path();
+  }
+
+ private:
+  std::string root_;
+  std::unique_ptr<Catalog> catalog_;
+};
+
 PurchaseRequest MakeRequest(int i) {
   PurchaseRequest request;
   request.buyer_id = "buyer-" + std::to_string(i % 97);
@@ -277,12 +320,10 @@ PurchaseRequest MakeRequest(int i) {
   return request;
 }
 
-ServiceOptions SoakServiceOptions(uint64_t seed, int workers, int queue,
-                                  int max_quote_batch = 16) {
+ServiceOptions SoakServiceOptions(uint64_t seed, int workers, int queue) {
   ServiceOptions options;
   options.num_workers = workers;
   options.queue_capacity = queue;
-  options.max_quote_batch = max_quote_batch;
   options.seed = seed;
   options.quote_retry.max_attempts = 6;
   options.quote_retry.initial_delay_seconds = 1e-6;
@@ -314,8 +355,8 @@ void CheckLedgerInvariants(const Marketplace& market, int64_t expected_sales,
 void CheckRestore(const std::string& path, const Marketplace& live,
                   uint64_t market_seed, const char* phase) {
   Marketplace restored = MakeMarket(market_seed);
-  const Status status = restored.RestoreFromJournal(path, Journal::Options{});
-  SOAK_CHECK(status.ok(), "%s: RestoreFromJournal failed: %s", phase,
+  const Status status = restored.RestoreFromCheckpoint(path);
+  SOAK_CHECK(status.ok(), "%s: RestoreFromCheckpoint failed: %s", phase,
              status.ToString().c_str());
   if (status.ok()) {
     SOAK_CHECK(restored.ledger().ToCsv() == live.ledger().ToCsv(),
@@ -326,27 +367,15 @@ void CheckRestore(const std::string& path, const Marketplace& live,
 }
 
 // Phase 1: same seed + stream at several worker counts, faults armed.
-// Each worker count runs twice — curve cache + batched quoting on (the
-// default serving configuration) and both off (the request-at-a-time
-// control) — and every ledger must be byte-identical to every other:
-// the hot-path machinery may only change speed, never what is sold.
+// Every ledger must be byte-identical to every other: the worker count
+// may only change speed, never what is sold.
 void RunDeterminismPhase(int requests, uint64_t seed,
                          const std::string& fault_spec,
                          const std::vector<int>& worker_counts) {
   std::printf("== phase 1: determinism under faults (%d requests, faults '%s')\n",
               requests, fault_spec.c_str());
-  struct RunConfig {
-    int workers = 1;
-    bool use_cache = true;
-  };
-  std::vector<RunConfig> configs;
-  for (int workers : worker_counts) {
-    configs.push_back({workers, true});
-    configs.push_back({workers, false});
-  }
   std::vector<std::string> csvs;
-  for (const RunConfig& config : configs) {
-    const int workers = config.workers;
+  for (int workers : worker_counts) {
     if (!fault_spec.empty()) {
       const Status armed = nimbus::fault::Configure(fault_spec);
       if (!armed.ok()) {
@@ -355,17 +384,10 @@ void RunDeterminismPhase(int requests, uint64_t seed,
         std::exit(2);
       }
     }
-    const std::string path =
-        TempJournalPath("det_w" + std::to_string(workers) +
-                        (config.use_cache ? "_cache" : "_nocache"));
-    std::remove(path.c_str());
-    Marketplace market = MakeMarket(seed, config.use_cache);
-    if (!market.EnableJournal(path, Journal::Options{}).ok()) {
-      std::exit(2);
-    }
-    MarketService service(
-        &market, SoakServiceOptions(seed, workers, requests,
-                                    config.use_cache ? 16 : 1));
+    SoloCatalog solo("det_w" + std::to_string(workers), seed);
+    Marketplace& market = solo.market();
+    MarketService service(solo.catalog(),
+                          SoakServiceOptions(seed, workers, requests));
     const Status started = service.Start();
     SOAK_CHECK(started.ok(), "det: Start failed: %s",
                started.ToString().c_str());
@@ -406,11 +428,11 @@ void RunDeterminismPhase(int requests, uint64_t seed,
     SOAK_CHECK(stats.admitted + stats.shed == stats.submitted,
                "det(w=%d): admission accounting broken", workers);
     CheckLedgerInvariants(market, ok_count, "det");
-    CheckRestore(path, market, seed, "det");
+    CheckRestore(solo.journal_path(), market, seed, "det");
     nimbus::fault::Reset();
 
     RunReport report;
-    report.phase = config.use_cache ? "determinism" : "determinism_cache_off";
+    report.phase = "determinism";
     report.workers = workers;
     report.submitted = stats.submitted;
     report.ok = ok_count;
@@ -432,25 +454,19 @@ void RunDeterminismPhase(int requests, uint64_t seed,
 
     csvs.push_back(market.ledger().ToCsv());
     std::printf(
-        "   workers=%d cache=%s: ok=%lld retries=%lld revenue=%.6f "
+        "   workers=%d: ok=%lld retries=%lld revenue=%.6f "
         "(%.0f req/s, p99 %.0f us)\n",
-        workers, config.use_cache ? "on" : "off",
-        static_cast<long long>(ok_count),
+        workers, static_cast<long long>(ok_count),
         static_cast<long long>(retries_seen), market.total_revenue(),
         report.requests_per_second, report.p99_us);
-    std::remove(path.c_str());
   }
   for (size_t i = 1; i < csvs.size(); ++i) {
     SOAK_CHECK(csvs[i] == csvs[0],
-               "det: ledger at workers=%d cache=%s differs from workers=%d "
-               "cache=%s byte-wise",
-               configs[i].workers, configs[i].use_cache ? "on" : "off",
-               configs[0].workers, configs[0].use_cache ? "on" : "off");
+               "det: ledger at workers=%d differs from workers=%d byte-wise",
+               worker_counts[i], worker_counts[0]);
   }
-  std::printf(
-      "   ledger byte-identical across %zu runs (workers x cache on/off): "
-      "%s\n",
-      csvs.size(), g_violations == 0 ? "yes" : "NO");
+  std::printf("   ledger byte-identical across %zu runs (workers): %s\n",
+              csvs.size(), g_violations == 0 ? "yes" : "NO");
 }
 
 // Phase 2: more offered load than the queue can hold, multi-threaded
@@ -466,13 +482,9 @@ void RunOverloadPhase(int requests, uint64_t seed, int queue_capacity,
   const Status armed = nimbus::fault::Configure("service.enqueue:10:5");
   SOAK_CHECK(armed.ok(), "overload: fault arm failed");
 
-  const std::string path = TempJournalPath("overload");
-  std::remove(path.c_str());
-  Marketplace market = MakeMarket(seed);
-  if (!market.EnableJournal(path, Journal::Options{}).ok()) {
-    std::exit(2);
-  }
-  MarketService service(&market,
+  SoloCatalog solo("overload", seed);
+  Marketplace& market = solo.market();
+  MarketService service(solo.catalog(),
                         SoakServiceOptions(seed, workers, queue_capacity));
   const Status started = service.Start();
   SOAK_CHECK(started.ok(), "overload: Start failed");
@@ -560,7 +572,7 @@ void RunOverloadPhase(int requests, uint64_t seed, int queue_capacity,
              static_cast<long long>(shed_count),
              static_cast<long long>(total - queue_capacity + 5));
   CheckLedgerInvariants(market, ok_count, "overload");
-  CheckRestore(path, market, seed, "overload");
+  CheckRestore(solo.journal_path(), market, seed, "overload");
   nimbus::fault::Reset();
 
   RunReport report;
@@ -588,7 +600,6 @@ void RunOverloadPhase(int requests, uint64_t seed, int queue_capacity,
   std::printf("   submitted=%lld ok=%lld shed=%lld (rate %.3f) queue<=%d\n",
               static_cast<long long>(total), static_cast<long long>(ok_count),
               static_cast<long long>(shed_count), shed_rate, queue_capacity);
-  std::remove(path.c_str());
 }
 
 // Removes every durability artifact a checkpointed run leaves behind:
@@ -657,24 +668,18 @@ void RunCrashRecoveryDrill(int requests, uint64_t seed,
   }
   std::printf(")\n");
   for (int workers : worker_counts) {
-    const std::string path =
-        TempJournalPath("crash_w" + std::to_string(workers));
-    RemoveRecoveryFiles(path);
+    ShardOptions checkpointed;
+    checkpointed.enable_checkpoints = true;
+    checkpointed.checkpoint_policy.every_records = std::max(requests / 8, 16);
+    SoloCatalog solo("crash_w" + std::to_string(workers), seed, checkpointed);
+    Marketplace& market = solo.market();
+    const std::string& path = solo.journal_path();
     // Counted tears: a few cadence snapshots fail mid-write/fsync and
     // must be absorbed without failing a single sale.
     const Status armed =
         nimbus::fault::Configure("snapshot.write:3:1,snapshot.fsync:5:1");
     SOAK_CHECK(armed.ok(), "crash: fault arm failed");
-    Marketplace market = MakeMarket(seed);
-    if (!market.EnableJournal(path, Journal::Options{}).ok()) {
-      std::exit(2);
-    }
-    CheckpointPolicy policy;
-    policy.every_records = std::max(requests / 8, 16);
-    const Status enabled = market.EnableCheckpoints(policy);
-    SOAK_CHECK(enabled.ok(), "crash: EnableCheckpoints failed: %s",
-               enabled.ToString().c_str());
-    MarketService service(&market,
+    MarketService service(solo.catalog(),
                           SoakServiceOptions(seed, workers, requests));
     SOAK_CHECK(service.Start().ok(), "crash: Start failed");
     std::vector<std::future<PurchaseResult>> futures;
@@ -760,7 +765,6 @@ void RunCrashRecoveryDrill(int requests, uint64_t seed,
         fb_report.source == Marketplace::RestoreReport::Source::kFullReplay
             ? "full_replay"
             : "previous_snapshot");
-    RemoveRecoveryFiles(path);
   }
 }
 
@@ -866,10 +870,11 @@ void RunRecoverySweep(bool fast, uint64_t seed,
                    "sweep: checkpoint-restored ledger differs byte-wise");
       }
 
+      // No snapshot exists for the journal-only lineage, so the restore
+      // ladder's last rung replays the whole journal.
       Marketplace replayed = MakeMarket(seed);
       const auto t1 = std::chrono::steady_clock::now();
-      const Status replay_status =
-          replayed.RestoreFromJournal(full_path, Journal::Options{});
+      const Status replay_status = replayed.RestoreFromCheckpoint(full_path);
       const double replay_ms =
           std::chrono::duration<double, std::milli>(
               std::chrono::steady_clock::now() - t1)
@@ -1307,15 +1312,15 @@ void RunAuditPhase(int requests, uint64_t seed,
       const bool audited = arm == 1;
       AuditorOptions auditor_options;
       auditor_options.pass_interval_seconds = 0.005;
+      SoloCatalog solo("audit_w" + std::to_string(workers), seed);
       Auditor auditor(auditor_options);
-      Marketplace market = MakeMarket(seed);
       ServiceOptions service_options =
           SoakServiceOptions(seed, workers, requests);
       if (audited) {
         service_options.auditor = &auditor;
         auditor.Start();
       }
-      MarketService service(&market, service_options);
+      MarketService service(solo.catalog(), service_options);
       SOAK_CHECK(service.Start().ok(), "audit: Start failed");
       nimbus::telemetry::Registry::Global().ResetForTest();
       const auto run_start = std::chrono::steady_clock::now();
@@ -1360,7 +1365,7 @@ void RunAuditPhase(int requests, uint64_t seed,
       audit_runs.push_back(run);
       // The headline non-perturbation claim: ledger bytes do not depend
       // on whether the auditor watched.
-      csvs.push_back(market.ledger().ToCsv());
+      csvs.push_back(solo.market().ledger().ToCsv());
       std::printf("   workers=%d auditor=%s: ok=%lld (%.0f req/s, p50 %.0f us)\n",
                   workers, audited ? "on" : "off",
                   static_cast<long long>(ok_count), run.requests_per_second,
@@ -1394,11 +1399,11 @@ void RunAuditPhase(int requests, uint64_t seed,
   std::string drill_offering;
   int64_t drill_ticket = -1;
   {
+    SoloCatalog solo("audit_drill", seed);
     Auditor auditor(AuditorOptions{});  // No loop: passes run on demand.
-    Marketplace market = MakeMarket(seed);
     ServiceOptions service_options = SoakServiceOptions(seed, 2, requests);
     service_options.auditor = &auditor;
-    MarketService service(&market, service_options);
+    MarketService service(solo.catalog(), service_options);
     SOAK_CHECK(service.Start().ok(), "audit drill: Start failed");
     const Status armed = nimbus::fault::Configure(
         "audit.verify:" + std::to_string(fault_nth) + ":1");
@@ -1443,7 +1448,7 @@ void RunAuditPhase(int requests, uint64_t seed,
     // The ledger itself must be clean — the fault corrupted only the
     // auditor's sampled copy, so conservation and re-priced ledger rows
     // still hold (exactly one violation total proves it).
-    CheckLedgerInvariants(market, drill_requests, "audit drill");
+    CheckLedgerInvariants(solo.market(), drill_requests, "audit drill");
     // Health report: a detected violation is quarantine-grade.
     const MarketService::HealthReport health = service.GetHealthReport();
     SOAK_CHECK(!health.healthy,
@@ -1545,7 +1550,7 @@ void RunAuditPhase(int requests, uint64_t seed,
 void RunAdminServeWindow(uint64_t seed, int port, double seconds) {
   std::printf("== phase 3: live admin window (port %d, %.1f s)\n", port,
               seconds);
-  Marketplace market = MakeMarket(seed);
+  SoloCatalog solo("admin", seed);
   // Run the economic auditor live so /auditz and /statz serve real
   // verdicts and history during the curl window (detection-only; the
   // ledger is unaffected).
@@ -1554,7 +1559,7 @@ void RunAdminServeWindow(uint64_t seed, int port, double seconds) {
   nimbus::service::ServiceOptions service_options =
       SoakServiceOptions(seed, 2, 256);
   service_options.auditor = &auditor;
-  MarketService service(&market, service_options);
+  MarketService service(solo.catalog(), service_options);
   const Status started = service.Start();
   SOAK_CHECK(started.ok(), "admin: Start failed: %s",
              started.ToString().c_str());

@@ -141,7 +141,10 @@ Auditor::Auditor(AuditorOptions options, const Clock* clock)
 
 Auditor::~Auditor() { Stop(); }
 
-void Auditor::AttachCatalog(Catalog* catalog) { catalog_ = catalog; }
+void Auditor::AttachCatalog(Catalog* catalog) {
+  std::lock_guard<std::mutex> lock(taps_mu_);
+  catalog_ = catalog;
+}
 
 AuditTap* Auditor::RegisterLane(const std::string& product_id, Shard* shard,
                                 Marketplace* fixed_market) {
@@ -426,8 +429,10 @@ int Auditor::DrainAndCheck(std::vector<Violation>* out) {
 int Auditor::CheckConservation(std::vector<Violation>* out) {
   const size_t before = out->size();
   std::vector<TapEntry*> entries;
+  Catalog* catalog = nullptr;
   {
     std::lock_guard<std::mutex> lock(taps_mu_);
+    catalog = catalog_;
     entries.reserve(taps_.size());
     for (const std::unique_ptr<TapEntry>& entry : taps_) {
       entries.push_back(entry.get());
@@ -513,8 +518,8 @@ int Auditor::CheckConservation(std::vector<Violation>* out) {
   // window was quiescent (no commit landed between our tap reads and
   // the rollup), the catalog rollup must equal the sum of the lanes'
   // booked totals.
-  if (catalog_ != nullptr && all_stable && !entries.empty()) {
-    const Catalog::Rollup rollup = catalog_->GetRollup();
+  if (catalog != nullptr && all_stable && !entries.empty()) {
+    const Catalog::Rollup rollup = catalog->GetRollup();
     bool quiescent = rollup.total_sales == sales_sum;
     if (quiescent) {
       for (TapEntry* entry : entries) {

@@ -210,11 +210,10 @@ class Auditor {
 
   const AuditorOptions options_;
   const Clock* const clock_;
+  // Tap table and catalog: registration happens before traffic
+  // (serving-layer construction), possibly while the audit loop already
+  // runs; both are guarded by taps_mu_ for that window.
   Catalog* catalog_ = nullptr;
-
-  // Tap table: registration happens before traffic (serving-layer
-  // Start), reads after; guarded by taps_mu_ for the registration
-  // window.
   mutable std::mutex taps_mu_;
   std::vector<std::unique_ptr<TapEntry>> taps_;
 

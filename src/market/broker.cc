@@ -110,8 +110,7 @@ Broker::Broker(data::TrainTestSplit split, ml::ModelSpec model,
       optimal_model_(std::move(optimal_model)),
       pricing_(std::make_shared<pricing::LinearPricing>(
           1.0, std::numeric_limits<double>::infinity(), "placeholder")),
-      curve_cache_(options.use_curve_cache ? std::make_shared<CurveCache>()
-                                           : nullptr),
+      curve_cache_(std::make_shared<CurveCache>()),
       eval_fingerprint_(FingerprintDataset(split_.test)),
       build_mu_(std::make_unique<std::mutex>()),
       rng_(options.seed) {
@@ -212,19 +211,6 @@ StatusOr<std::shared_ptr<const pricing::ErrorCurve>> Broker::GetErrorCurve(
   // with kNotFound and never occupy a cache slot.
   NIMBUS_ASSIGN_OR_RETURN(std::shared_ptr<const ml::Loss> loss,
                           model_.FindReportLoss(report_loss_name));
-  if (!curve_cache_enabled()) {
-    auto it = error_curves_.find(report_loss_name);
-    if (it != error_curves_.end()) {
-      return it->second;
-    }
-    NIMBUS_ASSIGN_OR_RETURN(pricing::ErrorCurve curve,
-                            BuildErrorCurve(*loss, cancel, trace));
-    auto [inserted, ok] = error_curves_.emplace(
-        report_loss_name,
-        std::make_shared<const pricing::ErrorCurve>(std::move(curve)));
-    NIMBUS_CHECK(ok);
-    return inserted->second;
-  }
   return curve_cache_->GetOrBuild(
       CurveKeyFor(report_loss_name),
       [&] { return BuildErrorCurve(*loss, cancel, trace); },
@@ -343,15 +329,29 @@ Status Broker::RestoreSaleCounters(int64_t sales_count,
   return OkStatus();
 }
 
-StatusOr<Broker::Purchase> Broker::CompleteSale(
-    double inverse_ncp, const pricing::ErrorCurve& curve) {
-  NIMBUS_ASSIGN_OR_RETURN(Purchase purchase,
-                          QuoteAtInverseNcp(inverse_ncp, curve, rng_));
-  RecordSale(purchase);
+StatusOr<Broker::Purchase> Broker::Book(StatusOr<Purchase> purchase) {
+  if (purchase.ok()) {
+    RecordSale(*purchase);
+  }
   return purchase;
 }
 
 StatusOr<Broker::Purchase> Broker::BuyAtInverseNcp(
+    double inverse_ncp, const std::string& report_loss_name) {
+  return Book(PickAtInverseNcp(inverse_ncp, report_loss_name));
+}
+
+StatusOr<Broker::Purchase> Broker::BuyWithErrorBudget(
+    double error_budget, const std::string& report_loss_name) {
+  return Book(PickWithErrorBudget(error_budget, report_loss_name));
+}
+
+StatusOr<Broker::Purchase> Broker::BuyWithPriceBudget(
+    double price_budget, const std::string& report_loss_name) {
+  return Book(PickWithPriceBudget(price_budget, report_loss_name));
+}
+
+StatusOr<Broker::Purchase> Broker::PickAtInverseNcp(
     double inverse_ncp, const std::string& report_loss_name) {
   if (inverse_ncp < options_.min_inverse_ncp ||
       inverse_ncp > options_.max_inverse_ncp) {
@@ -360,10 +360,10 @@ StatusOr<Broker::Purchase> Broker::BuyAtInverseNcp(
   }
   NIMBUS_ASSIGN_OR_RETURN(std::shared_ptr<const pricing::ErrorCurve> curve,
                           GetErrorCurve(report_loss_name));
-  return CompleteSale(inverse_ncp, *curve);
+  return QuoteAtInverseNcp(inverse_ncp, *curve, rng_);
 }
 
-StatusOr<Broker::Purchase> Broker::BuyWithErrorBudget(
+StatusOr<Broker::Purchase> Broker::PickWithErrorBudget(
     double error_budget, const std::string& report_loss_name) {
   NIMBUS_ASSIGN_OR_RETURN(std::shared_ptr<const pricing::ErrorCurve> curve,
                           GetErrorCurve(report_loss_name));
@@ -372,10 +372,10 @@ StatusOr<Broker::Purchase> Broker::BuyWithErrorBudget(
   // problem in §3.2 (option two).
   NIMBUS_ASSIGN_OR_RETURN(double x,
                           curve->MinInverseNcpForErrorBudget(error_budget));
-  return CompleteSale(x, *curve);
+  return QuoteAtInverseNcp(x, *curve, rng_);
 }
 
-StatusOr<Broker::Purchase> Broker::BuyWithPriceBudget(
+StatusOr<Broker::Purchase> Broker::PickWithPriceBudget(
     double price_budget, const std::string& report_loss_name) {
   if (price_budget < 0.0) {
     return InvalidArgumentError("price budget must be non-negative");
@@ -391,7 +391,7 @@ StatusOr<Broker::Purchase> Broker::BuyWithPriceBudget(
     return InfeasibleError("price budget below the cheapest version");
   }
   if (pricing_->PriceAtInverseNcp(hi) <= price_budget) {
-    return CompleteSale(hi, *curve);
+    return QuoteAtInverseNcp(hi, *curve, rng_);
   }
   for (int iter = 0; iter < 100; ++iter) {
     const double mid = 0.5 * (lo + hi);
@@ -401,7 +401,7 @@ StatusOr<Broker::Purchase> Broker::BuyWithPriceBudget(
       hi = mid;
     }
   }
-  return CompleteSale(lo, *curve);
+  return QuoteAtInverseNcp(lo, *curve, rng_);
 }
 
 }  // namespace nimbus::market

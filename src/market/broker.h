@@ -1,7 +1,6 @@
 #ifndef NIMBUS_MARKET_BROKER_H_
 #define NIMBUS_MARKET_BROKER_H_
 
-#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -47,12 +46,6 @@ class Broker {
     // quote path. 0 = unlimited.
     int64_t curve_draw_budget = 0;
     uint64_t seed = 20190642;
-    // Serve error curves through the shared, versioned CurveCache
-    // (single-flight cold builds, concurrency-safe hits). Off = the
-    // legacy per-broker map, which needs external serialization; kept
-    // so the soak can prove cache-on and cache-off ledgers are
-    // byte-identical.
-    bool use_curve_cache = true;
   };
 
   // Trains the optimal model on `split.train` and prepares the broker.
@@ -88,10 +81,10 @@ class Broker {
   // (ε name as in ml::Loss::name()); computed lazily and cached. The
   // returned curve is immutable and shared — callers may quote against
   // it from any thread, and it stays alive across cache invalidations.
-  // With Options::use_curve_cache (the default) lookups go through the
-  // shared CurveCache: hits are a lock-free-ish shared_ptr copy, cold
-  // builds are single-flight, and concurrent callers for the same curve
-  // wait on the one in-flight build instead of racing their own.
+  // Lookups go through the CurveCache: hits are a shared_ptr copy under
+  // a shared lock, cold builds are single-flight, and concurrent callers
+  // for the same curve wait on the one in-flight build instead of
+  // racing their own.
   // `cancel` (optional) aborts a cold-cache Monte-Carlo build at the
   // next grid-point boundary when the requesting caller's deadline
   // expires; cache hits never consult it. A cancelled build is not
@@ -108,10 +101,7 @@ class Broker {
   // GetErrorCurve.
   void AttachCurveCache(std::shared_ptr<CurveCache> cache);
 
-  bool curve_cache_enabled() const {
-    return options_.use_curve_cache && curve_cache_ != nullptr;
-  }
-  // The cache serving this broker (nullptr when use_curve_cache is off).
+  // The cache serving this broker.
   const CurveCache* curve_cache() const { return curve_cache_.get(); }
 
   // Cache identity of one report loss's curve: everything the build
@@ -201,12 +191,25 @@ class Broker {
   int sales_count() const { return sales_count_; }
 
  private:
+  // Marketplace sells through the Pick* variants below so that it can
+  // book a sale in its ledger before the broker counts it.
+  friend class Marketplace;
+
   Broker(data::TrainTestSplit split, ml::ModelSpec model,
          std::unique_ptr<mechanism::NoiseMechanism> mechanism,
          Options options, linalg::Vector optimal_model);
 
-  StatusOr<Purchase> CompleteSale(double inverse_ncp,
-                                  const pricing::ErrorCurve& curve);
+  // Options 1-3 without the booking: the purchase the matching Buy*
+  // returns, noise drawn from the broker's own stream, sale counters
+  // untouched. Buy* = Pick* + RecordSale.
+  StatusOr<Purchase> PickAtInverseNcp(double inverse_ncp,
+                                      const std::string& report_loss_name);
+  StatusOr<Purchase> PickWithErrorBudget(double error_budget,
+                                         const std::string& report_loss_name);
+  StatusOr<Purchase> PickWithPriceBudget(double price_budget,
+                                         const std::string& report_loss_name);
+  // Counts a successful pick as a sale and passes the outcome through.
+  StatusOr<Purchase> Book(StatusOr<Purchase> purchase);
 
   // Budget-reduced per-point sample count (Options::curve_draw_budget);
   // part of the curve's cache identity.
@@ -226,9 +229,6 @@ class Broker {
   Options options_;
   linalg::Vector optimal_model_;
   std::shared_ptr<const pricing::PricingFunction> pricing_;
-  // Cache-off fallback storage; the cache-on path lives in curve_cache_.
-  std::map<std::string, std::shared_ptr<const pricing::ErrorCurve>>
-      error_curves_;
   std::shared_ptr<CurveCache> curve_cache_;
   uint64_t eval_fingerprint_ = 0;
   // Heap-held so the broker stays movable (std::mutex is not).

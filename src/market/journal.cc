@@ -174,8 +174,8 @@ StatusOr<Journal> Journal::Open(const std::string& path, Options options) {
           "; " + std::to_string(report.dropped_bytes) +
           " bytes past the valid prefix): recover it first — "
           "Journal::Replay truncates a torn tail, and "
-          "Marketplace::RestoreFromJournal/RestoreFromCheckpoint run that "
-          "recovery before re-opening");
+          "Marketplace::RestoreFromCheckpoint runs that recovery before "
+          "re-opening");
     }
     needs_header = false;
     base_sequence = report.base_sequence;

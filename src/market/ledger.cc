@@ -37,12 +37,6 @@ telemetry::GaugeVec& LedgerRevenueVec() {
   return vec;
 }
 
-telemetry::Counter& RecoveredRecordsCounter() {
-  static telemetry::Counter& counter =
-      telemetry::Registry::Global().GetCounter("journal_recovered_records");
-  return counter;
-}
-
 std::string PricePointMetricName(double inverse_ncp) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.6g", inverse_ncp);
@@ -240,14 +234,6 @@ std::unique_ptr<Journal> Ledger::DetachJournal() {
 
 Status Ledger::FlushJournal() {
   return journal_ == nullptr ? OkStatus() : journal_->Flush();
-}
-
-StatusOr<Ledger> Ledger::Recover(const std::string& path) {
-  NIMBUS_ASSIGN_OR_RETURN(std::vector<LedgerEntry> entries,
-                          Journal::Replay(path));
-  NIMBUS_ASSIGN_OR_RETURN(Ledger ledger, FromEntries(entries));
-  RecoveredRecordsCounter().Increment(static_cast<int64_t>(entries.size()));
-  return ledger;
 }
 
 StatusOr<Ledger> Ledger::FromEntries(const std::vector<LedgerEntry>& entries) {

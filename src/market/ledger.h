@@ -68,7 +68,7 @@ class Ledger {
   // Attaches a write-ahead journal (market/journal.h); every subsequent
   // Record appends there before committing in memory. The journal must
   // correspond to this ledger's current state — freshly opened for an
-  // empty ledger, or the recovered journal after Recover().
+  // empty ledger, or the replayed journal after FromEntries().
   Status AttachJournal(std::unique_ptr<Journal> journal);
   bool journaling() const { return journal_ != nullptr; }
   // Detaches and returns the journal (e.g. to Close it explicitly).
@@ -83,17 +83,11 @@ class Ledger {
   // last step of a graceful drain.
   Status FlushJournal();
 
-  // Rebuilds a ledger from a journal file: replays the longest valid
-  // record prefix (truncating a torn tail so the file is append-clean),
-  // then revalidates every entry and the sequence numbering. The
-  // recovered ledger reproduces TotalRevenue/SalesPerPricePoint
-  // bit-identically. Counted in `journal_recovered_records`. The
-  // returned ledger has no journal attached; call AttachJournal (or use
-  // Marketplace::RestoreFromJournal) to resume journaling.
-  static StatusOr<Ledger> Recover(const std::string& path);
-
-  // Rebuilds a ledger from already-replayed entries (sequence numbers
-  // must be 0..n-1 in order; fields must satisfy Record's invariants).
+  // Rebuilds a ledger from already-replayed entries (Journal::Replay's
+  // longest valid prefix): revalidates every entry and the sequence
+  // numbering (0..n-1 in order), and reproduces TotalRevenue /
+  // SalesPerPricePoint bit-identically. The returned ledger has no
+  // journal attached; Marketplace::RestoreFromCheckpoint re-attaches it.
   static StatusOr<Ledger> FromEntries(const std::vector<LedgerEntry>& entries);
 
   // ----- Checkpoint restore ----------------------------------------------

@@ -53,16 +53,6 @@ bool FileExists(const std::string& path) {
   return true;
 }
 
-// Clears the marketplace's "recovering" flag on every exit path.
-struct RecoveringGuard {
-  std::shared_ptr<std::atomic<bool>> flag;
-  explicit RecoveringGuard(std::shared_ptr<std::atomic<bool>> f)
-      : flag(std::move(f)) {
-    flag->store(true, std::memory_order_release);
-  }
-  ~RecoveringGuard() { flag->store(false, std::memory_order_release); }
-};
-
 // A snapshot generation together with the journal tail past it, fully
 // validated BEFORE any marketplace state mutates — the recovery ladder
 // rejects a candidate and falls back a rung without side effects.
@@ -273,12 +263,7 @@ Status Marketplace::AddOffering(
   broker.SetPricingFunction(pricing);
   // All offerings share one cache; per-offering seeds (and model names)
   // keep their curve keys disjoint.
-  if (options.use_curve_cache) {
-    if (curve_cache_ == nullptr) {
-      curve_cache_ = std::make_shared<CurveCache>();
-    }
-    broker.AttachCurveCache(curve_cache_);
-  }
+  broker.AttachCurveCache(curve_cache_);
   brokers_.emplace(kind, std::move(broker));
   pricing_.emplace(kind, pricing);
   monitors_.emplace(kind, CollusionMonitor(pricing));
@@ -332,14 +317,9 @@ StatusOr<Broker::Purchase> Marketplace::Buy(
   NIMBUS_ASSIGN_OR_RETURN(Broker * broker, BrokerFor(kind));
   NIMBUS_ASSIGN_OR_RETURN(
       Broker::Purchase purchase,
-      broker->BuyAtInverseNcp(inverse_ncp, report_loss_name));
-  NIMBUS_RETURN_IF_ERROR(ledger_
-                             .Record(buyer_id, kind, purchase.inverse_ncp,
-                                     purchase.price, purchase.expected_error)
-                             .status());
-  NIMBUS_RETURN_IF_ERROR(monitors_.at(kind).RecordPurchase(
-      buyer_id, purchase.inverse_ncp, purchase.price));
-  NIMBUS_RETURN_IF_ERROR(MaybeCheckpoint());
+      broker->PickAtInverseNcp(inverse_ncp, report_loss_name));
+  NIMBUS_RETURN_IF_ERROR(
+      BookSale(buyer_id, kind, purchase, /*trace=*/nullptr).status());
   return purchase;
 }
 
@@ -352,14 +332,9 @@ StatusOr<Broker::Purchase> Marketplace::BuyWithPriceBudget(
   NIMBUS_ASSIGN_OR_RETURN(Broker * broker, BrokerFor(kind));
   NIMBUS_ASSIGN_OR_RETURN(
       Broker::Purchase purchase,
-      broker->BuyWithPriceBudget(price_budget, report_loss_name));
-  NIMBUS_RETURN_IF_ERROR(ledger_
-                             .Record(buyer_id, kind, purchase.inverse_ncp,
-                                     purchase.price, purchase.expected_error)
-                             .status());
-  NIMBUS_RETURN_IF_ERROR(monitors_.at(kind).RecordPurchase(
-      buyer_id, purchase.inverse_ncp, purchase.price));
-  NIMBUS_RETURN_IF_ERROR(MaybeCheckpoint());
+      broker->PickWithPriceBudget(price_budget, report_loss_name));
+  NIMBUS_RETURN_IF_ERROR(
+      BookSale(buyer_id, kind, purchase, /*trace=*/nullptr).status());
   return purchase;
 }
 
@@ -369,23 +344,34 @@ StatusOr<int64_t> Marketplace::RecordQuotedSale(
   if (buyer_id.empty()) {
     return InvalidArgumentError("buyer id must be non-empty");
   }
-  auto it = brokers_.find(kind);
-  if (it == brokers_.end()) {
-    return NotFoundError("model '" +
-                         std::string(ml::ModelKindToString(kind)) +
-                         "' is not offered");
-  }
+  NIMBUS_RETURN_IF_ERROR(BrokerFor(kind).status());
+  return BookSale(buyer_id, kind, purchase, trace);
+}
+
+StatusOr<int64_t> Marketplace::BookSale(const std::string& buyer_id,
+                                        ml::ModelKind kind,
+                                        const Broker::Purchase& purchase,
+                                        const telemetry::TraceContext* trace) {
   NIMBUS_ASSIGN_OR_RETURN(
       int64_t sequence,
       ledger_.Record(buyer_id, kind, purchase.inverse_ncp, purchase.price,
                      purchase.expected_error, trace));
-  NIMBUS_RETURN_IF_ERROR(monitors_.at(kind).RecordPurchase(
-      buyer_id, purchase.inverse_ncp, purchase.price));
-  it->second.RecordSale(purchase);
+  NIMBUS_RETURN_IF_ERROR(
+      CountSale(buyer_id, kind, purchase.inverse_ncp, purchase.price));
   // Commit callers are serialized (service sequencer), so the cadence
   // check and the snapshot both observe a quiescent ledger.
   NIMBUS_RETURN_IF_ERROR(MaybeCheckpoint());
   return sequence;
+}
+
+Status Marketplace::CountSale(const std::string& buyer_id, ml::ModelKind kind,
+                              double inverse_ncp, double price) {
+  NIMBUS_RETURN_IF_ERROR(
+      monitors_.at(kind).RecordPurchase(buyer_id, inverse_ncp, price));
+  Broker::Purchase sale;
+  sale.price = price;  // All RecordSale counts.
+  brokers_.at(kind).RecordSale(sale);
+  return OkStatus();
 }
 
 Status Marketplace::FlushJournal() { return ledger_.FlushJournal(); }
@@ -407,41 +393,6 @@ Status Marketplace::EnableJournal(const std::string& path,
                                   Journal::Options options) {
   NIMBUS_ASSIGN_OR_RETURN(Journal journal, Journal::Open(path, options));
   return ledger_.AttachJournal(std::make_unique<Journal>(std::move(journal)));
-}
-
-Status Marketplace::RestoreFromJournal(const std::string& path,
-                                       Journal::Options options) {
-  if (ledger_.size() != 0) {
-    return FailedPreconditionError(
-        "restore requires a fresh marketplace (ledger already has " +
-        std::to_string(ledger_.size()) + " sales)");
-  }
-  RecoveringGuard recovering(recovering_);
-  NIMBUS_ASSIGN_OR_RETURN(Ledger recovered, Ledger::Recover(path));
-  // Replay the audit trail into the per-offering monitors and broker
-  // revenue counters so the restarted process reports the same totals
-  // and collusion assessments as the one that crashed.
-  for (const LedgerEntry& entry : recovered.entries()) {
-    auto monitor = monitors_.find(entry.model);
-    if (monitor == monitors_.end()) {
-      return FailedPreconditionError(
-          "journal records a sale of model '" +
-          std::string(ml::ModelKindToString(entry.model)) +
-          "' which is not offered by this marketplace");
-    }
-    NIMBUS_RETURN_IF_ERROR(monitor->second.RecordPurchase(
-        entry.buyer_id, entry.inverse_ncp, entry.price));
-    Broker::Purchase sale;
-    sale.price = entry.price;
-    sale.inverse_ncp = entry.inverse_ncp;
-    sale.ncp = 1.0 / entry.inverse_ncp;
-    sale.expected_error = entry.expected_error;
-    brokers_.at(entry.model).RecordSale(sale);
-  }
-  ledger_ = std::move(recovered);
-  // Re-attach for future appends: Recover already truncated any torn
-  // tail, so new records extend the valid prefix.
-  return EnableJournal(path, options);
 }
 
 Status Marketplace::EnableCheckpoints(CheckpointPolicy policy) {
@@ -541,7 +492,6 @@ Status Marketplace::RestoreFromCheckpoint(const std::string& path,
   RestoreReport local_report;
   RestoreReport& report = report_out != nullptr ? *report_out : local_report;
   report = RestoreReport{};
-  RecoveringGuard recovering(recovering_);
   telemetry::ScopedTimer timer(RecoveryLatency());
   RecoveryRestoresCounter().Increment();
 
@@ -590,14 +540,8 @@ Status Marketplace::RestoreFromCheckpoint(const std::string& path,
     }
     for (const LedgerEntry& entry : candidate.tail) {
       NIMBUS_RETURN_IF_ERROR(restored.ApplyRecovered(entry));
-      NIMBUS_RETURN_IF_ERROR(monitors_.at(entry.model).RecordPurchase(
-          entry.buyer_id, entry.inverse_ncp, entry.price));
-      Broker::Purchase sale;
-      sale.price = entry.price;
-      sale.inverse_ncp = entry.inverse_ncp;
-      sale.ncp = 1.0 / entry.inverse_ncp;
-      sale.expected_error = entry.expected_error;
-      brokers_.at(entry.model).RecordSale(sale);
+      NIMBUS_RETURN_IF_ERROR(CountSale(entry.buyer_id, entry.model,
+                                       entry.inverse_ncp, entry.price));
     }
     if (options.hydrate) {
       NIMBUS_RETURN_IF_ERROR(restored.Hydrate());
@@ -653,15 +597,12 @@ Status Marketplace::RestoreFromCheckpoint(const std::string& path,
         CheckOffered(brokers_, entries[i].model, "journal"));
   }
   NIMBUS_ASSIGN_OR_RETURN(Ledger replayed, Ledger::FromEntries(entries));
+  // Rebuild the collusion-monitor histories and broker revenue counters
+  // so the restarted process reports the same totals and assessments as
+  // the one that crashed.
   for (const LedgerEntry& entry : entries) {
-    NIMBUS_RETURN_IF_ERROR(monitors_.at(entry.model).RecordPurchase(
-        entry.buyer_id, entry.inverse_ncp, entry.price));
-    Broker::Purchase sale;
-    sale.price = entry.price;
-    sale.inverse_ncp = entry.inverse_ncp;
-    sale.ncp = 1.0 / entry.inverse_ncp;
-    sale.expected_error = entry.expected_error;
-    brokers_.at(entry.model).RecordSale(sale);
+    NIMBUS_RETURN_IF_ERROR(CountSale(entry.buyer_id, entry.model,
+                                     entry.inverse_ncp, entry.price));
   }
   ledger_ = std::move(replayed);
   report.source = RestoreReport::Source::kFullReplay;

@@ -1,7 +1,6 @@
 #ifndef NIMBUS_MARKET_MARKETPLACE_H_
 #define NIMBUS_MARKET_MARKETPLACE_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -60,8 +59,9 @@ class Marketplace {
   // report loss).
   StatusOr<std::vector<CatalogRow>> Catalog();
 
-  // Purchase with attribution: routes to the model's broker, records the
-  // sale in the ledger and the collusion monitor.
+  // Purchase with attribution: the model's broker picks the version off
+  // its own noise stream, and the sale is booked like RecordQuotedSale
+  // books it (ledger first; a refused sale is counted nowhere).
   StatusOr<Broker::Purchase> Buy(const std::string& buyer_id,
                                  ml::ModelKind kind, double inverse_ncp,
                                  const std::string& report_loss_name);
@@ -73,14 +73,15 @@ class Marketplace {
       const std::string& report_loss_name);
 
   // Books a quote produced by Broker::QuoteAtInverseNcp: journals and
-  // records the ledger entry, updates the offering's collusion monitor
-  // and the broker's revenue counters, and returns the ledger sequence.
-  // This is the commit half of the serving layer's quote/commit split —
-  // quotes run concurrently, commits are serialized by the caller (the
-  // service's sequencer). Safe to retry after a kInternal journal
-  // failure: Ledger::Record leaves memory untouched on failure and
-  // Journal::Append is idempotent per sequence. `trace` (optional) nests
-  // the durable journal append under the committing request's spans.
+  // records the ledger entry, then updates the offering's collusion
+  // monitor and the broker's revenue counters, and returns the ledger
+  // sequence. This is the commit half of the serving layer's
+  // quote/commit split — quotes run concurrently, commits are
+  // serialized by the caller (the service's sequencer). Safe to retry
+  // after a kInternal journal failure: Ledger::Record leaves memory
+  // untouched on failure and Journal::Append is idempotent per
+  // sequence. `trace` (optional) nests the durable journal append under
+  // the committing request's spans.
   StatusOr<int64_t> RecordQuotedSale(
       const std::string& buyer_id, ml::ModelKind kind,
       const Broker::Purchase& purchase,
@@ -112,18 +113,6 @@ class Marketplace {
   // first sale for a complete audit trail.
   Status EnableJournal(const std::string& path,
                        Journal::Options options = Journal::Options{});
-
-  // Restores the marketplace's transactional state from a journal
-  // written by a previous process: replays the longest valid record
-  // prefix into the ledger (truncating a torn tail), rebuilds every
-  // offering's collusion-monitor history and broker revenue/sales
-  // counters, and re-attaches the journal so new sales append after the
-  // recovered prefix. Must be called after the same AddOffering sequence
-  // as the crashed process and before any sale; the restored
-  // TotalRevenue, sequence numbers, SalesPerPricePoint, and monitor
-  // assessments are bit-identical to the pre-crash marketplace.
-  Status RestoreFromJournal(const std::string& path,
-                            Journal::Options options = Journal::Options{});
 
   // ----- Checkpointing (snapshot + journal compaction) -------------------
   // Turns on checkpointing for the attached journal (EnableJournal /
@@ -163,12 +152,16 @@ class Marketplace {
   // passes is applied — aggregates and monitor/broker counters install
   // directly from the snapshot, only the tail replays through the
   // ledger. A torn or corrupt snapshot falls back to the previous
-  // generation, and when no generation is usable, to a full journal
-  // replay (RestoreFromJournal semantics) — never silent data loss.
-  // Preconditions match RestoreFromJournal: same AddOffering sequence as
-  // the crashed process, no sales yet. Re-attaches the journal (healing
-  // a torn tail, recreating a segment lost in the rotation crash
-  // window) so new sales append after the recovered prefix.
+  // generation, and when no generation is usable, to a full replay of
+  // the journal chain (live segment plus `.prev`) — never silent data
+  // loss. Must be called after the same AddOffering sequence as the
+  // crashed process and before any sale (kFailedPrecondition otherwise,
+  // and for a journal naming a model that is not offered); the restored
+  // TotalRevenue, sequence numbers, SalesPerPricePoint, and monitor
+  // assessments are bit-identical to the pre-crash marketplace.
+  // Re-attaches the journal (healing a torn tail, recreating a segment
+  // lost in the rotation crash window) so new sales append after the
+  // recovered prefix.
   struct RestoreOptions {
     // Applied when re-attaching the journal after restore.
     Journal::Options journal;
@@ -198,14 +191,6 @@ class Marketplace {
     return RestoreFromCheckpoint(path, RestoreOptions{});
   }
 
-  // True while RestoreFromCheckpoint/RestoreFromJournal is rebuilding
-  // state. The serving layer's health checks report "recovering" (not
-  // healthy) until restore completes.
-  bool recovering() const {
-    return recovering_ != nullptr &&
-           recovering_->load(std::memory_order_acquire);
-  }
-
   // Per-offering collusion monitor (versions of different models cannot
   // be combined, so histories are tracked per model).
   StatusOr<const CollusionMonitor*> MonitorFor(ml::ModelKind kind) const;
@@ -213,17 +198,27 @@ class Marketplace {
   // Buyers flagged by any offering's monitor, sorted and deduplicated.
   std::vector<std::string> SuspiciousBuyers() const;
 
-  // The error-curve cache shared by every offering's broker (nullptr
-  // when Broker::Options::use_curve_cache is off). Exposed so the
-  // serving layer and the soak can assert on hit/miss/single-flight
+  // The error-curve cache shared by every offering's broker. Exposed so
+  // the serving layer and the soak can assert on hit/miss/single-flight
   // telemetry.
   const CurveCache* curve_cache() const { return curve_cache_.get(); }
 
  private:
+  // Books one sale for `kind`, in the order every sale entry point
+  // shares: ledger (journaled), then collusion monitor and broker
+  // counters, then the cadence checkpoint. A sale the ledger refuses is
+  // counted nowhere. Returns the ledger sequence.
+  StatusOr<int64_t> BookSale(const std::string& buyer_id, ml::ModelKind kind,
+                             const Broker::Purchase& purchase,
+                             const telemetry::TraceContext* trace);
+  // Counts a sale the ledger already holds in the offering's collusion
+  // monitor and broker counters (booking and journal replay).
+  Status CountSale(const std::string& buyer_id, ml::ModelKind kind,
+                   double inverse_ncp, double price);
+
   data::TrainTestSplit split_;
   Broker::Options options_;
-  // Created lazily by the first AddOffering with use_curve_cache set.
-  std::shared_ptr<CurveCache> curve_cache_;
+  std::shared_ptr<CurveCache> curve_cache_ = std::make_shared<CurveCache>();
   std::vector<ml::ModelKind> offering_order_;
   std::map<ml::ModelKind, Broker> brokers_;
   std::map<ml::ModelKind, std::shared_ptr<const pricing::PricingFunction>>
@@ -231,10 +226,6 @@ class Marketplace {
   std::map<ml::ModelKind, CollusionMonitor> monitors_;
   Ledger ledger_;
   std::unique_ptr<Checkpointer> checkpointer_;
-  // Heap-allocated so the marketplace stays movable (std::atomic is
-  // not); shared with nothing — the indirection is purely for moves.
-  std::shared_ptr<std::atomic<bool>> recovering_ =
-      std::make_shared<std::atomic<bool>>(false);
 };
 
 }  // namespace nimbus::market

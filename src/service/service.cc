@@ -68,6 +68,13 @@ telemetry::Histogram& LatencyHistogram() {
   return histogram;
 }
 
+// Most admitted requests one worker drains per queue rendezvous.
+// Batching amortizes queue and sequencer synchronization (one wait + one
+// wakeup per batch instead of per request) and quotes each batch through
+// Broker::QuoteBatch. Ledger bytes do not depend on it: quotes stay pure
+// per-ticket functions of the lane seed.
+constexpr size_t kMaxQuoteBatch = 16;
+
 // Per-ticket RNG stream ids under the lane seed. Keeping the purposes
 // on disjoint strides makes every stream a pure function of
 // (lane seed, lane ticket, purpose) — independent of scheduling,
@@ -92,19 +99,10 @@ uint64_t Fnv64(const std::string& key) {
   return h;
 }
 
-// Non-owning shared_ptr over a caller-owned marketplace (legacy lane):
-// the aliasing constructor with an empty control block never deletes.
-std::shared_ptr<market::Marketplace> Unowned(market::Marketplace* market) {
-  return std::shared_ptr<market::Marketplace>(
-      std::shared_ptr<market::Marketplace>(), market);
-}
-
 }  // namespace
 
-MarketService::MarketService(market::Marketplace* market,
-                             market::Catalog* catalog, ServiceOptions options)
-    : market_(market),
-      catalog_(catalog),
+MarketService::MarketService(market::Catalog* catalog, ServiceOptions options)
+    : catalog_(catalog),
       options_(options),
       clock_(options.clock != nullptr ? options.clock : SystemClock::Get()),
       slo_([&] {
@@ -113,61 +111,38 @@ MarketService::MarketService(market::Marketplace* market,
         return slo;
       }()),
       queue_(static_cast<size_t>(std::max(options.queue_capacity, 1))) {
+  NIMBUS_CHECK(catalog_ != nullptr);
   options_.num_workers = std::max(options_.num_workers, 1);
   auto make_breaker = [&](const std::string& name,
                           CircuitBreakerOptions breaker) {
     if (breaker.clock == nullptr) breaker.clock = clock_;
     return std::make_unique<CircuitBreaker>(name, breaker);
   };
-  auto add_lane = [&](const std::string& product_id, market::Shard* shard,
-                      market::Marketplace* fixed_market) {
+  for (const std::unique_ptr<market::Shard>& shard : catalog_->shards()) {
     auto lane = std::make_unique<Lane>();
     lane->index = static_cast<int>(lanes_.size());
-    lane->product_id = product_id;
-    lane->shard = shard;
-    lane->fixed_market = fixed_market;
-    // The legacy lane keeps the raw master seed (and the undecorated
-    // breaker names), so single-marketplace behavior — ledger bytes
-    // included — is bit-identical to the pre-sharding service.
-    lane->seed = product_id.empty() ? options_.seed
-                                    : options_.seed ^ Fnv64(product_id);
+    lane->product_id = shard->product_id();
+    lane->shard = shard.get();
+    lane->seed = options_.seed ^ Fnv64(lane->product_id);
     lane->base_rng = Rng(lane->seed);
-    const std::string suffix =
-        product_id.empty() ? std::string() : "@" + product_id;
-    lane->quote_breaker =
-        make_breaker("broker.quote" + suffix, options_.quote_breaker);
-    lane->journal_breaker =
-        make_breaker("journal.append" + suffix, options_.journal_breaker);
-    if (shard != nullptr) {
-      lane_by_shard_.emplace(shard, lane->index);
-    }
+    lane->quote_breaker = make_breaker("broker.quote@" + lane->product_id,
+                                       options_.quote_breaker);
+    lane->journal_breaker = make_breaker("journal.append@" + lane->product_id,
+                                         options_.journal_breaker);
+    lane_by_shard_.emplace(lane->shard, lane->index);
     // Register the auditor's commit tap before any traffic exists. The
     // tap is observation-only: the lane's RNG streams and ledger bytes
     // are identical with or without it.
     if (options_.auditor != nullptr) {
-      lane->audit_tap =
-          options_.auditor->RegisterLane(product_id, shard, fixed_market);
+      lane->audit_tap = options_.auditor->RegisterLane(
+          lane->product_id, lane->shard, nullptr);
     }
     lanes_.push_back(std::move(lane));
-  };
-  if (catalog_ != nullptr) {
-    for (const std::unique_ptr<market::Shard>& shard : catalog_->shards()) {
-      add_lane(shard->product_id(), shard.get(), nullptr);
-    }
-  } else {
-    add_lane("", nullptr, market_);
   }
-  if (options_.auditor != nullptr && catalog_ != nullptr) {
+  if (options_.auditor != nullptr) {
     options_.auditor->AttachCatalog(catalog_);
   }
 }
-
-MarketService::MarketService(market::Marketplace* market,
-                             ServiceOptions options)
-    : MarketService(market, /*catalog=*/nullptr, options) {}
-
-MarketService::MarketService(market::Catalog* catalog, ServiceOptions options)
-    : MarketService(/*market=*/nullptr, catalog, options) {}
 
 MarketService::~MarketService() {
   if (started_.load(std::memory_order_acquire)) {
@@ -183,31 +158,23 @@ Status MarketService::Start() {
   if (started_.load(std::memory_order_acquire)) {
     return FailedPreconditionError("service already started");
   }
-  if (market_ == nullptr && catalog_ == nullptr) {
-    return InvalidArgumentError("service needs a marketplace or a catalog");
-  }
-  if (catalog_ != nullptr && lanes_.empty()) {
+  if (lanes_.empty()) {
     return InvalidArgumentError(
         "catalog has no shards (add products before constructing the "
         "service)");
   }
-  // Prewarm every serving marketplace's error curves so the workers only
-  // ever hit the (stable-address) cache; a cold build failing here is a
-  // configuration error better surfaced at startup than per-request.
-  // Quarantined shards are skipped — their lanes shed until the
-  // recovery loop re-admits them (and recovery rebuilds curves cold).
+  // Prewarm every serving shard's error curves so the workers only ever
+  // hit the cache; a cold build failing here is a configuration error
+  // better surfaced at startup than per-request. Quarantined shards are
+  // skipped — their lanes shed until the recovery loop re-admits them
+  // (and recovery rebuilds curves cold).
   for (const std::unique_ptr<Lane>& lane : lanes_) {
-    market::Marketplace* market = lane->fixed_market;
-    std::shared_ptr<market::Marketplace> held;
-    if (lane->shard != nullptr) {
-      StatusOr<std::shared_ptr<market::Marketplace>> serve =
-          lane->shard->Serve();
-      if (!serve.ok()) {
-        continue;
-      }
-      held = *std::move(serve);
-      market = held.get();
+    StatusOr<std::shared_ptr<market::Marketplace>> serve =
+        lane->shard->Serve();
+    if (!serve.ok()) {
+      continue;
     }
+    market::Marketplace* market = serve->get();
     for (ml::ModelKind kind : market->Offerings()) {
       NIMBUS_ASSIGN_OR_RETURN(market::Broker * broker, market->BrokerFor(kind));
       for (const auto& loss : broker->model().report_losses()) {
@@ -232,14 +199,6 @@ Status MarketService::Start() {
 
 MarketService::Lane* MarketService::RouteLane(const PurchaseRequest& request,
                                               Status* status) {
-  if (catalog_ == nullptr) {
-    if (!request.product_id.empty()) {
-      *status = InvalidArgumentError(
-          "product_id set on a single-marketplace service (no catalog)");
-      return nullptr;
-    }
-    return lanes_.front().get();
-  }
   market::Shard* shard = catalog_->Route(request.product_id);
   if (shard == nullptr) {
     *status = UnavailableError("catalog has no shards");
@@ -307,23 +266,19 @@ std::future<PurchaseResult> MarketService::Submit(PurchaseRequest request) {
                               : options_.default_deadline_seconds;
   item.cancel = std::make_shared<CancelToken>(clock_, deadline);
 
-  // Resolve the lane's marketplace up front. On a shard lane this is the
-  // bulkhead gate: a quarantined/recovering shard sheds here with the
-  // typed kUnavailable naming the shard, and an admitted item pins the
+  // Resolve the lane's marketplace up front. This is the bulkhead gate:
+  // a quarantined/recovering shard sheds here with the typed
+  // kUnavailable naming the shard, and an admitted item pins the
   // instance it was admitted against (a concurrent recovery swap cannot
   // pull the marketplace out from under the worker).
   const char* shed_reason = nullptr;
   Status admit = OkStatus();
-  if (lane->shard != nullptr) {
-    StatusOr<std::shared_ptr<market::Marketplace>> serve = lane->shard->Serve();
-    if (serve.ok()) {
-      item.market = *std::move(serve);
-    } else {
-      admit = serve.status();
-      shed_reason = "shard-unavailable";
-    }
+  StatusOr<std::shared_ptr<market::Marketplace>> serve = lane->shard->Serve();
+  if (serve.ok()) {
+    item.market = *std::move(serve);
   } else {
-    item.market = Unowned(lane->fixed_market);
+    admit = serve.status();
+    shed_reason = "shard-unavailable";
   }
 
   if (admit.ok()) {
@@ -386,54 +341,25 @@ MarketService::ResolveTarget(market::Marketplace* market,
   if (loss_name.empty()) {
     loss_name = broker->model().report_losses().front()->name();
   }
-  std::shared_ptr<const pricing::ErrorCurve> curve;
-  if (broker->curve_cache_enabled()) {
-    // The CurveCache is concurrency-safe (hits are shared-lock lookups,
-    // cold builds single-flight), so the hot path takes no service lock.
-    NIMBUS_ASSIGN_OR_RETURN(curve,
-                            broker->GetErrorCurve(loss_name, cancel, trace));
-  } else {
-    // Legacy cache-off path: GetErrorCurve mutates the broker's private
-    // map on a cold miss, so resolution is serialized.
-    std::lock_guard<std::mutex> lock(curve_mu_);
-    NIMBUS_ASSIGN_OR_RETURN(curve,
-                            broker->GetErrorCurve(loss_name, cancel, trace));
-  }
+  // The CurveCache is concurrency-safe (hits are shared-lock lookups,
+  // cold builds single-flight), so the hot path takes no service lock.
+  NIMBUS_ASSIGN_OR_RETURN(std::shared_ptr<const pricing::ErrorCurve> curve,
+                          broker->GetErrorCurve(loss_name, cancel, trace));
   return std::make_pair(broker, std::move(curve));
-}
-
-void MarketService::ExecuteQuote(const Item& item, PurchaseResult& result) {
-  const CancelToken* cancel = item.cancel.get();
-  result.status = CancelToken::Check(cancel, "admission-to-execution");
-  if (!result.status.ok()) {
-    return;
-  }
-  // Injected faults scoped to this lane's product ('point@product'
-  // clauses) fire for this request and no other lane's.
-  fault::ScopedFaultScope fault_scope(lanes_[item.lane]->product_id);
-  auto target =
-      ResolveTarget(item.market.get(), item.request, cancel, &item.trace);
-  if (!target.ok()) {
-    result.status = target.status();
-    return;
-  }
-  RunQuoteRetries(item, result, target->first, *target->second,
-                  /*first_attempt=*/nullptr);
 }
 
 void MarketService::RunQuoteRetries(const Item& item, PurchaseResult& result,
                                     market::Broker* broker,
                                     const pricing::ErrorCurve& curve,
-                                    const Status* first_attempt) {
+                                    const Status& first_attempt) {
   Lane& lane = *lanes_[item.lane];
-  bool replay_first = first_attempt != nullptr;
+  bool replay_first = true;
   auto attempt = [&]() -> Status {
     if (replay_first) {
-      // The batched path already executed (and accounted) attempt one;
-      // hand its outcome to the retry loop so budgets and backoff line
-      // up with request-at-a-time draining.
+      // The batch already executed (and accounted) attempt one; hand its
+      // outcome to the retry loop so it counts against the budget.
       replay_first = false;
-      return *first_attempt;
+      return first_attempt;
     }
     // One child span per attempt, so a retried request shows each try —
     // and why it failed — as a sibling under the request's root span.
@@ -493,6 +419,8 @@ void MarketService::ExecuteQuoteBatch(std::vector<Item>& items,
     if (!results[i].status.ok()) {
       continue;
     }
+    // Injected faults scoped to this lane's product ('point@product'
+    // clauses) fire for this request and no other lane's.
     fault::ScopedFaultScope fault_scope(lanes_[item.lane]->product_id);
     auto target = ResolveTarget(item.market.get(), item.request,
                                 item.cancel.get(), &item.trace);
@@ -507,7 +435,7 @@ void MarketService::ExecuteQuoteBatch(std::vector<Item>& items,
   // First attempt, batched: one Broker::QuoteBatch per contiguous run of
   // items sharing a (broker, curve) — runs never span lanes, because
   // each lane's marketplace owns distinct brokers. Per-item
-  // service.execute fault and breaker checks mirror the single path's
+  // service.execute fault and breaker checks mirror the retry loop's
   // attempt preamble.
   for (size_t begin = 0; begin < n;) {
     if (!targets[begin].pending) {
@@ -577,10 +505,9 @@ void MarketService::ExecuteQuoteBatch(std::vector<Item>& items,
     }
     begin = end;
   }
-  // Items whose batched first attempt failed re-enter the standard retry
-  // loop with that outcome replayed as attempt one — budgets, backoff
-  // delays, and deadline handling are byte-for-byte the single path's
-  // (fresh per-ticket forks redraw identical noise on real retries).
+  // Items whose batched first attempt failed re-enter the retry loop
+  // with that outcome replayed as attempt one (fresh per-ticket forks
+  // redraw identical noise on real retries).
   for (size_t i = 0; i < n; ++i) {
     if (!targets[i].pending || results[i].status.ok()) {
       continue;
@@ -588,7 +515,7 @@ void MarketService::ExecuteQuoteBatch(std::vector<Item>& items,
     fault::ScopedFaultScope fault_scope(lanes_[items[i].lane]->product_id);
     const Status first_attempt = std::move(results[i].status);
     RunQuoteRetries(items[i], results[i], targets[i].broker, *targets[i].curve,
-                    &first_attempt);
+                    first_attempt);
   }
 }
 
@@ -635,16 +562,7 @@ void MarketService::CommitOne(Item& item, PurchaseResult& result) {
   // failure implicating durable state (poisoned journal, short write,
   // ENOSPC) quarantines exactly this shard — the other lanes never see
   // anything.
-  if (lane.shard != nullptr) {
-    lane.shard->ReportCommitOutcome(result.status);
-  } else if (lane.fixed_market != nullptr && result.status.ok()) {
-    // Refresh the legacy lane's booked-total cache while this thread
-    // still owns the commit sequencer slot (the only safe ledger read).
-    lane.booked_revenue.store(lane.fixed_market->total_revenue(),
-                              std::memory_order_relaxed);
-    lane.booked_sales.store(lane.fixed_market->ledger().SaleCount(),
-                            std::memory_order_relaxed);
-  }
+  lane.shard->ReportCommitOutcome(result.status);
   // Hand the committed sale to the economic auditor while this thread
   // still owns the sequencer slot — the post-commit ledger totals it
   // fingerprints are only safe to read here. Detection-only: OnCommit
@@ -661,15 +579,6 @@ void MarketService::CommitOne(Item& item, PurchaseResult& result) {
     view.degraded = result.purchase.degraded;
     options_.auditor->OnCommit(lane.audit_tap, view);
   }
-}
-
-void MarketService::CommitInOrder(Item& item, PurchaseResult& result) {
-  Lane& lane = *lanes_[item.lane];
-  std::unique_lock<prof::ProfiledMutex> lock(lane.seq_mu);
-  lane.seq_cv.wait(lock, [&] { return lane.next_commit == item.ticket; });
-  CommitOne(item, result);
-  ++lane.next_commit;
-  lane.seq_cv.notify_all();
 }
 
 void MarketService::CommitBatchInOrder(std::vector<Item>& items,
@@ -766,10 +675,8 @@ void MarketService::Finish(Item& item, PurchaseResult result,
 }
 
 void MarketService::WorkerLoop() {
-  const size_t max_batch =
-      static_cast<size_t>(std::max(options_.max_quote_batch, 1));
   while (true) {
-    std::vector<Item> batch = queue_.PopBatch(max_batch);
+    std::vector<Item> batch = queue_.PopBatch(kMaxQuoteBatch);
     if (batch.empty()) {
       return;  // Closed and drained.
     }
@@ -784,9 +691,7 @@ void MarketService::WorkerLoop() {
     const int64_t dequeue_ns = clock_->NowNanos();
     for (size_t i = 0; i < n; ++i) {
       results[i].ticket = batch[i].ticket;
-      results[i].product_id = lanes_[batch[i].lane]->product_id.empty()
-                                  ? batch[i].request.product_id
-                                  : lanes_[batch[i].lane]->product_id;
+      results[i].product_id = lanes_[batch[i].lane]->product_id;
       results[i].trace_id = batch[i].trace.trace_id;
       flights[i].trace_id = batch[i].trace.trace_id;
       flights[i].ticket = batch[i].ticket;
@@ -826,19 +731,14 @@ void MarketService::WorkerLoop() {
 }
 
 Status MarketService::FlushLaneJournal(Lane& lane) {
-  market::Marketplace* market = lane.fixed_market;
-  std::shared_ptr<market::Marketplace> held;
-  if (lane.shard != nullptr) {
-    StatusOr<std::shared_ptr<market::Marketplace>> serve = lane.shard->Serve();
-    if (!serve.ok()) {
-      // Quarantined/recovering shards have nothing flushable: the
-      // poisoned journal's buffer was already discarded, and durability
-      // is the recovery ladder's job now. Not a drain error.
-      return OkStatus();
-    }
-    held = *std::move(serve);
-    market = held.get();
+  StatusOr<std::shared_ptr<market::Marketplace>> serve = lane.shard->Serve();
+  if (!serve.ok()) {
+    // Quarantined/recovering shards have nothing flushable: the poisoned
+    // journal's buffer was already discarded, and durability is the
+    // recovery ladder's job now. Not a drain error.
+    return OkStatus();
   }
+  market::Marketplace* market = serve->get();
   fault::ScopedFaultScope fault_scope(lane.product_id);
   // Flush under the journal retry policy: a transient fsync fault at
   // shutdown should not lose the tail of the books.
@@ -855,11 +755,9 @@ Status MarketService::FlushLaneJournal(Lane& lane) {
     if (!generation.ok()) {
       // Durability is intact (the flush above succeeded); surface the
       // failure so operators notice the degraded restart cost.
-      NIMBUS_LOG(kWarning) << "checkpoint on drain failed"
-                           << (lane.product_id.empty()
-                                   ? std::string()
-                                   : " (shard '" + lane.product_id + "')")
-                           << ": " << generation.status().message();
+      NIMBUS_LOG(kWarning) << "checkpoint on drain failed (shard '"
+                           << lane.product_id
+                           << "'): " << generation.status().message();
       status = generation.status();
     }
   }
@@ -904,19 +802,6 @@ const CircuitBreaker& MarketService::journal_breaker() const {
   return *lanes_.front()->journal_breaker;
 }
 
-bool MarketService::recovering() const {
-  if (market_ != nullptr) {
-    return market_->recovering();
-  }
-  for (const std::unique_ptr<Lane>& lane : lanes_) {
-    if (lane->shard != nullptr &&
-        lane->shard->state() == market::ShardState::kRecovering) {
-      return true;
-    }
-  }
-  return false;
-}
-
 MarketService::HealthReport MarketService::GetHealthReport() const {
   HealthReport report;
   report.healthy = true;
@@ -928,25 +813,18 @@ MarketService::HealthReport MarketService::GetHealthReport() const {
     report.healthy = false;
     report.problems.push_back("service: draining");
   }
-  if (market_ != nullptr && market_->recovering()) {
-    report.healthy = false;
-    report.problems.push_back("marketplace: recovering");
-  }
   for (const std::unique_ptr<Lane>& lane : lanes_) {
-    const std::string name =
-        lane->product_id.empty() ? "default" : lane->product_id;
-    if (lane->shard != nullptr) {
-      const market::ShardState state = lane->shard->state();
-      if (state != market::ShardState::kServing) {
-        const std::string detail = lane->shard->state_detail();
-        report.problems.push_back(
-            "shard " + name + ": " + market::ShardStateName(state) +
-            (detail.empty() ? "" : " (" + detail + ")"));
-        // Degraded shards still serve (journal tail intact); only a
-        // quarantined or mid-recovery bulkhead flips the liveness bit.
-        if (state != market::ShardState::kDegraded) {
-          report.healthy = false;
-        }
+    const std::string& name = lane->product_id;
+    const market::ShardState state = lane->shard->state();
+    if (state != market::ShardState::kServing) {
+      const std::string detail = lane->shard->state_detail();
+      report.problems.push_back(
+          "shard " + name + ": " + market::ShardStateName(state) +
+          (detail.empty() ? "" : " (" + detail + ")"));
+      // Degraded shards still serve (journal tail intact); only a
+      // quarantined or mid-recovery bulkhead flips the liveness bit.
+      if (state != market::ShardState::kDegraded) {
+        report.healthy = false;
       }
     }
     if (lane->quote_breaker->state() == CircuitBreaker::State::kOpen) {
@@ -967,8 +845,7 @@ MarketService::HealthReport MarketService::GetHealthReport() const {
     if (audit.violations > 0) {
       report.healthy = false;
       for (const market::Auditor::Violation& v : audit.recent) {
-        const std::string owner = v.product.empty() ? "default" : v.product;
-        report.problems.push_back("shard " + owner + ": audit violation (" +
+        report.problems.push_back("shard " + v.product + ": audit violation (" +
                                   market::AuditInvariantName(v.invariant) +
                                   ": " + v.detail + ")");
       }
@@ -987,20 +864,15 @@ std::vector<MarketService::ShardView> MarketService::ShardViews() const {
     view.shed = lane->shed.load(std::memory_order_relaxed);
     view.succeeded = lane->succeeded.load(std::memory_order_relaxed);
     view.failed = lane->failed.load(std::memory_order_relaxed);
-    // Booked totals come from caches maintained on the serialized
-    // commit path — /shardz may be scraped while workers are mid-commit
-    // and must never read the live ledger from this thread.
-    if (lane->shard != nullptr) {
-      view.state = lane->shard->state();
-      view.state_detail = lane->shard->state_detail();
-      view.shard_stats = lane->shard->stats();
-      view.last_restore = lane->shard->last_restore_report();
-      view.revenue = view.shard_stats.revenue;
-      view.sales = view.shard_stats.sales;
-    } else if (lane->fixed_market != nullptr) {
-      view.revenue = lane->booked_revenue.load(std::memory_order_relaxed);
-      view.sales = lane->booked_sales.load(std::memory_order_relaxed);
-    }
+    view.state = lane->shard->state();
+    view.state_detail = lane->shard->state_detail();
+    view.last_restore = lane->shard->last_restore_report();
+    // Booked totals come from the shard's cache, maintained on the
+    // serialized commit path — /shardz may be scraped while workers are
+    // mid-commit and must never read the live ledger from this thread.
+    view.shard_stats = lane->shard->stats();
+    view.revenue = view.shard_stats.revenue;
+    view.sales = view.shard_stats.sales;
     views.push_back(std::move(view));
   }
   return views;

@@ -50,16 +50,9 @@ struct ServiceOptions {
   // (every injected failure is absorbed by a retry).
   CircuitBreakerOptions quote_breaker;
   CircuitBreakerOptions journal_breaker;
-  // Upper bound on how many admitted quote-only requests one worker
-  // drains per queue rendezvous. Batching amortizes queue and sequencer
-  // synchronization (one wait + one wakeup per batch instead of per
-  // request) and quotes each batch through Broker::QuoteBatch. 1 =
-  // request-at-a-time draining. Ledger bytes are identical at every
-  // setting: quotes stay pure per-ticket functions of the master seed.
-  int max_quote_batch = 16;
-  // Master seed: request `ticket` quotes with the pure child stream
-  // Fork(4*ticket) of Rng(seed), so results are independent of worker
-  // count, scheduling, and retry count.
+  // Master seed: request `ticket` of product p quotes with the pure
+  // child stream Fork(4*ticket) of Rng(seed ^ fnv(p)), so results are
+  // independent of worker count, scheduling, and retry count.
   uint64_t seed = 20190642;
   // Time source for deadlines, backoff sleeps and breaker cooldowns;
   // nullptr = SystemClock. Tests pass a ManualClock.
@@ -82,9 +75,9 @@ struct PurchaseRequest {
   std::string report_loss_name;
   // Overrides ServiceOptions::default_deadline_seconds when > 0.
   double deadline_seconds = 0.0;
-  // Which product to buy from. Routed by the catalog (exact product
-  // match, then consistent hash) in sharded mode; must be empty for a
-  // single-marketplace service.
+  // Which product to buy from. Routed by the catalog: exact product
+  // match, then consistent hash (an empty id lands on the only shard of
+  // a one-shard catalog).
   std::string product_id;
 };
 
@@ -96,7 +89,7 @@ struct PurchaseResult {
   // Admission ticket (commit order within the routed shard's lane);
   // -1 for requests shed at admission.
   int64_t ticket = -1;
-  // Product the request routed to ("" in single-marketplace mode).
+  // Product (shard) the request routed to.
   std::string product_id;
   // Trace id minted at submission — the key for correlating this result
   // with its spans (telemetry::SnapshotTraceEvents) and flight record.
@@ -108,41 +101,38 @@ struct PurchaseResult {
   int journal_attempts = 0;
 };
 
-// Concurrent quote/purchase front end over one Marketplace — the layer
-// that lets the in-process broker survive real traffic: a bounded
-// admission queue with explicit load shedding, a worker pool (built on
-// common/parallel.h) running the quote phase concurrently, per-request
+// Concurrent quote/purchase front end over a Catalog of product shards —
+// the layer that lets the in-process brokers survive real traffic: a
+// bounded admission queue with explicit load shedding, a worker pool
+// (built on common/parallel.h) draining the queue in batches, per-request
 // deadlines with cooperative cancellation down to the error-curve
 // grid-point boundary, retry-with-backoff around the fault points from
 // the recovery substrate, per-downstream circuit breakers, and a
-// graceful drain that finishes in-flight work and flushes the journal.
+// graceful drain that finishes in-flight work and flushes the journals.
+// A single marketplace is served as a one-shard catalog.
+//
+// Every request routes by its product id to one bulkheaded Shard lane.
+// The pipeline has a product dimension end to end: per-lane dense
+// admission tickets, per-lane commit sequencers, per-lane circuit
+// breakers, and per-lane RNG roots (seed ^ fnv(product)). Each worker
+// pops up to a batch of requests, quotes each contiguous same-curve run
+// with one Broker::QuoteBatch off the shared CurveCache, and commits the
+// batch with one sequencer rendezvous per lane (a contiguous FIFO
+// batch's per-lane subsequence is a consecutive lane-ticket run). A
+// quarantined shard sheds its requests with a typed kUnavailable naming
+// the shard while every other lane keeps serving.
 //
 // Determinism contract (the chaos soak's headline property): quotes are
-// pure per-ticket functions of the master seed, and commits are
-// serialized in ticket order by an internal sequencer. As long as
-// admission order is deterministic (single submitter) and no request
-// exhausts its retry budget, the final ledger — and therefore the
-// journal and everything recovered from it — is byte-identical at every
-// worker count, even with counted fault injection armed.
-//
-// Sharded mode (catalog constructor): every request routes by its
-// product id to one bulkheaded Shard lane. The request pipeline gains a
-// product dimension end to end — per-lane dense admission tickets,
-// per-lane commit sequencers (a contiguous FIFO batch's per-lane
-// subsequence is automatically a consecutive lane-ticket run, so batch
-// commits need one rendezvous per lane per batch), per-lane circuit
-// breakers, and per-lane RNG roots (seed ^ fnv(product)) so each
-// shard's ledger is byte-identical at every worker count independently.
-// A quarantined shard sheds its requests with a typed kUnavailable
-// naming the shard while every other lane keeps serving.
+// pure per-ticket functions of the lane seed, and commits are
+// serialized in lane-ticket order. As long as admission order is
+// deterministic (single submitter) and no request exhausts its retry
+// budget, each shard's ledger — and therefore its journal and
+// everything recovered from it — is byte-identical at every worker
+// count, even with counted fault injection armed.
 class MarketService {
  public:
-  // `market` must outlive the service. Offerings must be installed (and
-  // the journal attached, if desired) before Start.
-  MarketService(market::Marketplace* market, ServiceOptions options);
-  // Sharded catalog mode: routes per-product requests to bulkheaded
-  // shards. `catalog` must outlive the service, and every product must
-  // be added before constructing the service (lanes are built here).
+  // `catalog` must outlive the service, and every product must be added
+  // before constructing the service (lanes are built here).
   MarketService(market::Catalog* catalog, ServiceOptions options);
   ~MarketService();  // Drains (best effort) when still running.
 
@@ -186,8 +176,8 @@ class MarketService {
   };
   Stats stats() const;
 
-  // The first lane's breakers (the only lane in single-marketplace
-  // mode). Sharded mode has one breaker pair per lane; see ShardViews.
+  // The first lane's breakers (the only lane of a one-shard catalog).
+  // Every lane has its own breaker pair.
   const CircuitBreaker& quote_breaker() const;
   const CircuitBreaker& journal_breaker() const;
 
@@ -199,11 +189,6 @@ class MarketService {
   // The attached economic auditor (nullptr when auditing is off). The
   // admin server joins it into /auditz and the health report.
   market::Auditor* auditor() const { return options_.auditor; }
-
-  // True while any marketplace (or shard) is rebuilding state from a
-  // checkpoint or journal. /healthz reports the recovering components
-  // so orchestrators hold traffic until restore completes.
-  bool recovering() const;
 
   // Per-component liveness for /healthz and /shardz: `healthy` is the
   // 200/503 bit; `problems` enumerates every unhealthy component
@@ -238,11 +223,6 @@ class MarketService {
   std::vector<ShardView> ShardViews() const;
 
  private:
-  // Common constructor both public forms delegate to (exactly one of
-  // `market` / `catalog` is non-null).
-  MarketService(market::Marketplace* market, market::Catalog* catalog,
-                ServiceOptions options);
-
   struct Item {
     int64_t ticket = 0;  // Dense per lane.
     int lane = 0;
@@ -250,9 +230,9 @@ class MarketService {
     std::promise<PurchaseResult> promise;
     std::shared_ptr<CancelToken> cancel;
     int64_t submit_ns = 0;
-    // The marketplace instance this item quotes against, resolved from
-    // the lane at execution (keeps the instance alive across a
-    // concurrent shard recovery swap).
+    // The marketplace instance this item quotes against, pinned from the
+    // shard at admission (keeps the instance alive across a concurrent
+    // shard recovery swap).
     std::shared_ptr<market::Marketplace> market;
     // Request-scoped trace context: minted at submission, re-parented to
     // the worker's root span so every downstream span (curve build,
@@ -260,18 +240,13 @@ class MarketService {
     telemetry::TraceContext trace;
   };
 
-  // One product lane: the routing target of the sharded pipeline. The
-  // single-marketplace constructor builds exactly one lane with a fixed
-  // marketplace and an empty product id, which reproduces the legacy
-  // behavior (and RNG streams) bit for bit.
+  // One product lane: the routing target of one catalog shard.
   struct Lane {
     int index = 0;
-    std::string product_id;              // "" on the legacy lane.
-    market::Shard* shard = nullptr;      // Null on the legacy lane.
-    market::Marketplace* fixed_market = nullptr;  // Legacy lane only.
-    // Lane seed: the master seed on the legacy lane (byte-compat),
-    // seed ^ fnv(product_id) on shard lanes — each shard's ledger is a
-    // pure function of (master seed, product, its own request order).
+    std::string product_id;
+    market::Shard* shard = nullptr;
+    // seed ^ fnv(product_id): each shard's ledger is a pure function of
+    // (master seed, product, its own request order).
     uint64_t seed = 0;
     Rng base_rng{0};
     std::unique_ptr<CircuitBreaker> quote_breaker;
@@ -291,40 +266,25 @@ class MarketService {
     std::atomic<int64_t> shed{0};
     std::atomic<int64_t> succeeded{0};
     std::atomic<int64_t> failed{0};
-    // Legacy-lane booked totals, stored by the committing worker (the
-    // sequencer serializes commits) so ShardViews can report revenue
-    // without reading the live ledger off-thread. Shard lanes keep the
-    // equivalent cache in Shard::Stats, which also survives recovery.
-    std::atomic<double> booked_revenue{0.0};
-    std::atomic<int64_t> booked_sales{0};
   };
 
   void WorkerLoop();
-  // Quote phase (concurrent): resolves the broker/curve and runs the
-  // retried, breaker-gated quote. Fills result.status/purchase.
-  void ExecuteQuote(const Item& item, PurchaseResult& result);
-  // Batched quote phase over one PopBatch run: per-item admission/fault/
-  // breaker checks, then one Broker::QuoteBatch per contiguous run of
-  // items sharing a (broker, curve). An item whose batched first attempt
-  // fails re-enters the standard retry loop with that outcome replayed
-  // as attempt one, so attempt budgets, backoff delays, deadline expiry
-  // — and ledger bytes — match request-at-a-time draining exactly.
+  // Quote phase over one PopBatch run: per-item admission/fault/breaker
+  // checks, then one Broker::QuoteBatch per contiguous run of items
+  // sharing a (broker, curve). An item whose batched first attempt
+  // fails re-enters the retry loop with that outcome as attempt one.
   void ExecuteQuoteBatch(std::vector<Item>& items,
                          std::vector<PurchaseResult>& results);
-  // The retried, breaker-gated quote loop shared by both paths. When
-  // `first_attempt` is non-null its status is served as attempt one
-  // (the already-executed batched attempt) instead of re-quoting.
+  // The retried, breaker-gated quote loop for an item whose batched
+  // first attempt failed with `first_attempt`: that outcome is served as
+  // attempt one, later attempts re-quote from the item's ticket stream.
   void RunQuoteRetries(const Item& item, PurchaseResult& result,
                        market::Broker* broker,
                        const pricing::ErrorCurve& curve,
-                       const Status* first_attempt);
+                       const Status& first_attempt);
   // Books one successful quote (retried, breaker-gated journal append).
   // Caller holds the sequencer turn for the item's ticket.
   void CommitOne(Item& item, PurchaseResult& result);
-  // Commit phase: waits for the sequencer turn of `ticket`, then (for
-  // successful quotes) books the sale with the retried, breaker-gated
-  // journal append.
-  void CommitInOrder(Item& item, PurchaseResult& result);
   // Batch commit: one sequencer wait for the batch's first ticket, then
   // commits the (consecutive) tickets in order with a single wakeup at
   // the end — the per-request condvar thundering herd this replaces is
@@ -338,10 +298,9 @@ class MarketService {
   void RecordRejected(uint64_t trace_id, const Status& status, bool shed,
                       int64_t submit_ns);
 
-  // Routes a request to its lane (the single lane in legacy mode; by
-  // product id through the catalog in sharded mode). Returns nullptr
-  // with a typed status — kUnavailable naming the shard for quarantined
-  // lanes, kInvalidArgument for malformed routing — when unroutable.
+  // Routes a request to its lane by product id through the catalog.
+  // Returns nullptr with a typed kUnavailable when the catalog has no
+  // shards.
   Lane* RouteLane(const PurchaseRequest& request, Status* status);
 
   StatusOr<std::pair<market::Broker*, std::shared_ptr<const pricing::ErrorCurve>>>
@@ -353,14 +312,13 @@ class MarketService {
   // marketplace — the per-lane half of Drain.
   Status FlushLaneJournal(Lane& lane);
 
-  market::Marketplace* market_;            // Legacy mode; null if sharded.
-  market::Catalog* catalog_ = nullptr;     // Sharded mode; null if legacy.
+  market::Catalog* catalog_;
   ServiceOptions options_;
   Clock* clock_;
   telemetry::SloTracker slo_;
 
   // Lanes are built in the constructor and never resized afterwards, so
-  // lookups are lock-free. lane index == shard index in sharded mode.
+  // lookups are lock-free. lane index == shard index.
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::unordered_map<const market::Shard*, int> lane_by_shard_;
 
@@ -373,12 +331,6 @@ class MarketService {
   // The queue is globally FIFO, which makes the per-lane subsequence of
   // any contiguous batch a consecutive run of that lane's tickets.
   std::mutex submit_mu_;
-
-  // Serializes error-curve resolution only for cache-off brokers, whose
-  // legacy curve map is not concurrency-safe. Cache-on brokers (the
-  // default) resolve through the single-flight CurveCache and never
-  // take this lock.
-  std::mutex curve_mu_;
 
   std::atomic<bool> started_{false};
   std::atomic<bool> draining_{false};

@@ -27,12 +27,14 @@
 #include "market/curves.h"
 #include "market/market_simulator.h"
 #include "market/marketplace.h"
+#include "one_shard_catalog.h"
 #include "service/service.h"
 
 namespace nimbus::service {
 namespace {
 
 using market::Marketplace;
+using testutil::OneShardCatalog;
 
 data::TrainTestSplit ClassificationSplit(uint64_t seed) {
   Rng rng(seed);
@@ -205,11 +207,11 @@ TEST_F(AdminServerTest, RejectsNonGetAndGarbageRequests) {
 }
 
 TEST_F(AdminServerTest, MetricsScrapeIsValidPrometheusLineByLine) {
-  Marketplace market = MakeMarket(31);
+  OneShardCatalog store([] { return MakeMarket(31); });
   ServiceOptions options;
   options.num_workers = 2;
   options.queue_capacity = 64;
-  MarketService service(&market, options);
+  MarketService service(store.catalog(), options);
   ASSERT_TRUE(service.Start().ok());
   std::vector<std::future<PurchaseResult>> futures;
   for (int i = 0; i < 8; ++i) {
@@ -253,10 +255,10 @@ TEST_F(AdminServerTest, MetricsScrapeIsValidPrometheusLineByLine) {
 }
 
 TEST_F(AdminServerTest, HealthzFlipsToUnavailableAcrossDrain) {
-  Marketplace market = MakeMarket(32);
+  OneShardCatalog store([] { return MakeMarket(32); });
   ServiceOptions options;
   options.num_workers = 1;
-  MarketService service(&market, options);
+  MarketService service(store.catalog(), options);
   ASSERT_TRUE(service.Start().ok());
   AdminServer server(&service, AdminServerOptions{});
   ASSERT_TRUE(server.Start().ok());
@@ -338,10 +340,10 @@ TEST_F(AdminServerTest, HealthzNamesSickShardAndShardzReportsRollup) {
 TEST_F(AdminServerTest, TracezSurfacesErroredRequestWithSpans) {
   telemetry::SetTracingEnabled(true);
   telemetry::ClearTraceForTest();
-  Marketplace market = MakeMarket(33);
+  OneShardCatalog store([] { return MakeMarket(33); });
   ServiceOptions options;
   options.num_workers = 1;
-  MarketService service(&market, options);
+  MarketService service(store.catalog(), options);
   ASSERT_TRUE(service.Start().ok());
 
   // An offering that does not exist fails in the worker, so the trace
@@ -386,11 +388,11 @@ TEST_F(AdminServerTest, FlightzServesTheRing) {
 }
 
 TEST_F(AdminServerTest, ConcurrentScrapesDuringLiveTraffic) {
-  Marketplace market = MakeMarket(34);
+  OneShardCatalog store([] { return MakeMarket(34); });
   ServiceOptions options;
   options.num_workers = 2;
   options.queue_capacity = 256;
-  MarketService service(&market, options);
+  MarketService service(store.catalog(), options);
   ASSERT_TRUE(service.Start().ok());
   AdminServer server(&service, AdminServerOptions{});
   ASSERT_TRUE(server.Start().ok());
@@ -432,10 +434,10 @@ TEST_F(AdminServerTest, LargeResponseSurvivesTinySendBuffer) {
   // whole body. With SO_SNDBUF shrunk to its floor, a /metrics payload
   // (tens of KB once the labeled families exist) needs many partial
   // send()s — a truncated scrape here means the write loop regressed.
-  Marketplace market = MakeMarket(35);
+  OneShardCatalog store([] { return MakeMarket(35); });
   ServiceOptions options;
   options.num_workers = 2;
-  MarketService service(&market, options);
+  MarketService service(store.catalog(), options);
   ASSERT_TRUE(service.Start().ok());
   std::vector<std::future<PurchaseResult>> futures;
   for (int i = 0; i < 8; ++i) {

@@ -17,6 +17,7 @@
 #include "market/curves.h"
 #include "market/market_simulator.h"
 #include "market/marketplace.h"
+#include "one_shard_catalog.h"
 #include "service/service.h"
 
 namespace nimbus::market {
@@ -26,6 +27,7 @@ using service::MarketService;
 using service::PurchaseRequest;
 using service::PurchaseResult;
 using service::ServiceOptions;
+using testutil::OneShardCatalog;
 
 data::TrainTestSplit ClassificationSplit(uint64_t seed) {
   Rng rng(seed);
@@ -103,7 +105,7 @@ class AuditorTest : public ::testing::Test {
   }
 };
 
-// Runs `n` requests through a single-market service with `auditor`
+// Runs `n` requests through a one-shard service with `auditor`
 // tapped in, waits for every terminal outcome, and returns the ok
 // count. The submission order is deterministic (single submitter).
 int RunTraffic(MarketService& service, int n, int start = 0) {
@@ -122,13 +124,13 @@ int RunTraffic(MarketService& service, int n, int start = 0) {
 }
 
 TEST_F(AuditorTest, CleanTrafficCertifiesEveryInvariant) {
-  Marketplace market = MakeMarket(101);
+  OneShardCatalog store([] { return MakeMarket(101); });
   AuditorOptions audit_options;
   Auditor auditor(audit_options);
   ServiceOptions options;
   options.num_workers = 2;
   options.auditor = &auditor;
-  MarketService service(&market, options);
+  MarketService service(store.catalog(), options);
   ASSERT_TRUE(service.Start().ok());
 
   const int ok = RunTraffic(service, 60);
@@ -153,7 +155,7 @@ TEST_F(AuditorTest, BackgroundLoopAuditsWithoutPerturbingTheLedger) {
   // Two identical workloads — auditor running vs absent — must produce
   // byte-identical ledgers (the detection-only contract).
   auto run = [](bool with_auditor, std::string* csv, Auditor::Status* status) {
-    Marketplace market = MakeMarket(77);
+    OneShardCatalog store([] { return MakeMarket(77); });
     AuditorOptions audit_options;
     audit_options.pass_interval_seconds = 0.001;
     Auditor auditor(audit_options);
@@ -164,7 +166,7 @@ TEST_F(AuditorTest, BackgroundLoopAuditsWithoutPerturbingTheLedger) {
       auditor.Start();
       EXPECT_TRUE(auditor.running());
     }
-    MarketService service(&market, options);
+    MarketService service(store.catalog(), options);
     ASSERT_TRUE(service.Start().ok());
     EXPECT_EQ(RunTraffic(service, 40), 40);
     EXPECT_TRUE(service.Drain().ok());
@@ -172,8 +174,8 @@ TEST_F(AuditorTest, BackgroundLoopAuditsWithoutPerturbingTheLedger) {
     EXPECT_FALSE(auditor.running());
     auditor.RunPass();  // Mop up anything the loop had not drained.
     *status = auditor.GetStatus();
-    ASSERT_TRUE(market.HydrateLedger().ok());
-    *csv = market.ledger().ToCsv();
+    ASSERT_TRUE(store.market().HydrateLedger().ok());
+    *csv = store.market().ledger().ToCsv();
   };
   std::string with_csv, without_csv;
   Auditor::Status with_status, without_status;
@@ -193,12 +195,12 @@ TEST_F(AuditorTest, MispricingDrillFlagsExactlyTheCorruptedSample) {
   ::setenv("NIMBUS_FLIGHT_RECORDER", dump_path.c_str(), 1);
   const int64_t dumps_before = DumpsTotal();
 
-  Marketplace market = MakeMarket(55);
+  OneShardCatalog store([] { return MakeMarket(55); });
   Auditor auditor(AuditorOptions{});
   ServiceOptions options;
   options.num_workers = 1;
   options.auditor = &auditor;
-  MarketService service(&market, options);
+  MarketService service(store.catalog(), options);
   ASSERT_TRUE(service.Start().ok());
 
   // Corrupt the 3rd sampled COPY (ledger untouched). With sample_rate
@@ -306,12 +308,12 @@ TEST_F(AuditorTest, CurveSwapTripsMonotonicityThenSubadditivity) {
 }
 
 TEST_F(AuditorTest, ConservationTamperIsDetectedAndAttributed) {
-  Marketplace market = MakeMarket(63);
+  OneShardCatalog store([] { return MakeMarket(63); });
   Auditor auditor(AuditorOptions{});
   ServiceOptions options;
   options.num_workers = 1;
   options.auditor = &auditor;
-  MarketService service(&market, options);
+  MarketService service(store.catalog(), options);
   ASSERT_TRUE(service.Start().ok());
   EXPECT_EQ(RunTraffic(service, 10), 10);
   auditor.RunPass();
@@ -319,20 +321,20 @@ TEST_F(AuditorTest, ConservationTamperIsDetectedAndAttributed) {
 
   // Skew the lane's fingerprint (the ledger is untouched): the next
   // pass must flag conservation against the booked total.
-  auditor.TamperForTest("", 0.5);
+  auditor.TamperForTest("solo", 0.5);
   EXPECT_GE(auditor.RunPass(), 1);
   const Auditor::Status status = auditor.GetStatus();
   ASSERT_FALSE(status.recent.empty());
   const Auditor::Violation& v = status.recent.back();
   EXPECT_EQ(v.invariant, AuditInvariant::kConservation);
-  EXPECT_EQ(v.product, "");
+  EXPECT_EQ(v.product, "solo");
   EXPECT_EQ(v.offering, "");
   EXPECT_NE(v.detail.find("booked revenue"), std::string::npos);
 
   const MarketService::HealthReport report = service.GetHealthReport();
   EXPECT_FALSE(report.healthy);
   ASSERT_FALSE(report.problems.empty());
-  EXPECT_NE(report.problems.front().find("shard default: audit violation"),
+  EXPECT_NE(report.problems.front().find("shard solo: audit violation"),
             std::string::npos)
       << report.problems.front();
   EXPECT_NE(report.problems.front().find("conservation"), std::string::npos);
@@ -393,21 +395,21 @@ TEST_F(AuditorTest, ShardedTamperNamesTheOwningShardOnly) {
 
 TEST_F(AuditorTest, SamplingIsDeterministicAcrossWorkerCounts) {
   auto run = [](int workers, Auditor::Status* status, std::string* csv) {
-    Marketplace market = MakeMarket(91);
+    OneShardCatalog store([] { return MakeMarket(91); });
     AuditorOptions audit_options;
     audit_options.sample_rate = 0.5;
     Auditor auditor(audit_options);
     ServiceOptions options;
     options.num_workers = workers;
     options.auditor = &auditor;
-    MarketService service(&market, options);
+    MarketService service(store.catalog(), options);
     ASSERT_TRUE(service.Start().ok());
     EXPECT_EQ(RunTraffic(service, 80), 80);
     EXPECT_TRUE(service.Drain().ok());
     auditor.RunPass();
     *status = auditor.GetStatus();
-    ASSERT_TRUE(market.HydrateLedger().ok());
-    *csv = market.ledger().ToCsv();
+    ASSERT_TRUE(store.market().HydrateLedger().ok());
+    *csv = store.market().ledger().ToCsv();
   };
   Auditor::Status narrow, wide;
   std::string narrow_csv, wide_csv;
@@ -427,12 +429,12 @@ TEST_F(AuditorTest, SamplingIsDeterministicAcrossWorkerCounts) {
 }
 
 TEST_F(AuditorTest, ToJsonCarriesVerdictsAndFirstFailureTimestamp) {
-  Marketplace market = MakeMarket(13);
+  OneShardCatalog store([] { return MakeMarket(13); });
   Auditor auditor(AuditorOptions{});
   ServiceOptions options;
   options.num_workers = 1;
   options.auditor = &auditor;
-  MarketService service(&market, options);
+  MarketService service(store.catalog(), options);
   ASSERT_TRUE(service.Start().ok());
   ASSERT_TRUE(fault::Configure("audit.verify:2:1").ok());
   EXPECT_EQ(RunTraffic(service, 8), 8);

@@ -283,19 +283,5 @@ TEST_F(CatalogTest, ShardedServiceIsolatesFaultedShard) {
   EXPECT_TRUE(service.Drain().ok());
 }
 
-TEST_F(CatalogTest, ShardedServiceRejectsUnroutableRequests) {
-  Marketplace single = *MakeFactory(50)();
-  service::MarketService legacy(&single, service::ServiceOptions{});
-  ASSERT_TRUE(legacy.Start().ok());
-  service::PurchaseRequest request;
-  request.buyer_id = "alice";
-  request.model = ml::ModelKind::kLogisticRegression;
-  request.inverse_ncp = 2.0;
-  request.product_id = "wine";  // No catalog behind this service.
-  EXPECT_EQ(legacy.Submit(request).get().status.code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_TRUE(legacy.Drain().ok());
-}
-
 }  // namespace
 }  // namespace nimbus::market

@@ -18,6 +18,7 @@
 #include "market/market_simulator.h"
 #include "market/marketplace.h"
 #include "market/snapshot.h"
+#include "one_shard_catalog.h"
 #include "service/service.h"
 
 namespace nimbus::market {
@@ -259,21 +260,20 @@ service::PurchaseRequest MakeRequest(int i) {
   return request;
 }
 
-// Runs `n` requests through a MarketService over a fresh market with
-// checkpointing armed, drains, and returns the final ledger CSV.
-std::string RunServiceWorkload(const std::string& path, int num_workers,
-                               int n, int64_t every_records) {
-  RemoveCheckpointFiles(path);
-  Marketplace market = MakeMarket(35);
-  EXPECT_TRUE(market.EnableJournal(path).ok());
-  CheckpointPolicy policy;
-  policy.every_records = every_records;
-  EXPECT_TRUE(market.EnableCheckpoints(policy).ok());
+// Runs `n` requests through a MarketService over a fresh one-shard
+// catalog with checkpointing armed, drains, and returns the final ledger
+// CSV. `journal_path` receives the shard's journal path.
+std::string RunServiceWorkload(int num_workers, int n, int64_t every_records,
+                               std::string* journal_path) {
+  ShardOptions shard;
+  shard.enable_checkpoints = true;
+  shard.checkpoint_policy.every_records = every_records;
+  testutil::OneShardCatalog store([] { return MakeMarket(35); }, shard);
 
   service::ServiceOptions options;
   options.num_workers = num_workers;
   options.queue_capacity = 2 * n;
-  service::MarketService service(&market, options);
+  service::MarketService service(store.catalog(), options);
   EXPECT_TRUE(service.Start().ok());
   std::vector<std::future<service::PurchaseResult>> futures;
   futures.reserve(n);
@@ -285,21 +285,21 @@ std::string RunServiceWorkload(const std::string& path, int num_workers,
     EXPECT_TRUE(result.status.ok()) << result.status.ToString();
   }
   EXPECT_TRUE(service.Drain().ok());
-  EXPECT_GE(market.CheckpointStats()->checkpoints, 1);
-  return market.ledger().ToCsv();
+  EXPECT_GE(store.market().CheckpointStats()->checkpoints, 1);
+  *journal_path = store.shard().journal_path();
+  return store.market().ledger().ToCsv();
 }
 
 TEST_F(CheckpointerTest, CheckpointOnDrainLeavesFreshSnapshot) {
-  const std::string path = TempPath("nimbus_ckpt_drain.waj");
-  RemoveCheckpointFiles(path);
-  Marketplace market = MakeMarket(36);
-  ASSERT_TRUE(market.EnableJournal(path).ok());
-  ASSERT_TRUE(market.EnableCheckpoints(CheckpointPolicy{}).ok());
+  ShardOptions shard;
+  shard.enable_checkpoints = true;
+  testutil::OneShardCatalog store([] { return MakeMarket(36); }, shard);
+  Marketplace& market = store.market();
 
   service::ServiceOptions options;
   options.num_workers = 2;
   options.queue_capacity = 32;
-  service::MarketService service(&market, options);
+  service::MarketService service(store.catalog(), options);
   ASSERT_TRUE(service.Start().ok());
   std::vector<std::future<service::PurchaseResult>> futures;
   for (int i = 0; i < 9; ++i) {
@@ -316,25 +316,25 @@ TEST_F(CheckpointerTest, CheckpointOnDrainLeavesFreshSnapshot) {
   Marketplace restored = MakeMarket(36);
   Marketplace::RestoreReport report;
   ASSERT_TRUE(restored
-                  .RestoreFromCheckpoint(path, Marketplace::RestoreOptions{},
+                  .RestoreFromCheckpoint(store.shard().journal_path(),
+                                         Marketplace::RestoreOptions{},
                                          &report)
                   .ok());
   EXPECT_EQ(report.source, Marketplace::RestoreReport::Source::kSnapshot);
   EXPECT_EQ(report.snapshot_records, 9);
   EXPECT_EQ(report.tail_records, 0);
   EXPECT_EQ(restored.ledger().ToCsv(), market.ledger().ToCsv());
-  RemoveCheckpointFiles(path);
 }
 
 TEST_F(CheckpointerTest, ConcurrentCheckpointWhileQuotingStaysDeterministic) {
   // Cadence checkpoints fire mid-traffic while other workers are
   // quoting. The ledger must be byte-identical across worker counts,
   // and a crash-restart must restore it bit-for-bit.
-  const std::string base_path = TempPath("nimbus_ckpt_tsan_w1.waj");
-  const std::string wide_path = TempPath("nimbus_ckpt_tsan_w4.waj");
+  std::string base_path;
+  std::string wide_path;
   const int n = 48;
-  const std::string csv_one = RunServiceWorkload(base_path, 1, n, 8);
-  const std::string csv_four = RunServiceWorkload(wide_path, 4, n, 8);
+  const std::string csv_one = RunServiceWorkload(1, n, 8, &base_path);
+  const std::string csv_four = RunServiceWorkload(4, n, 8, &wide_path);
   EXPECT_EQ(csv_one, csv_four);
 
   // Both trees restore bit-identically from their checkpoint chains.
@@ -349,8 +349,6 @@ TEST_F(CheckpointerTest, ConcurrentCheckpointWhileQuotingStaysDeterministic) {
     EXPECT_EQ(restored.ledger().ToCsv(), csv_one);
     EXPECT_GT(report.snapshot_records, 0);
   }
-  RemoveCheckpointFiles(base_path);
-  RemoveCheckpointFiles(wide_path);
 }
 
 }  // namespace

@@ -12,14 +12,14 @@
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
-#include "common/fault.h"
+#include "common/math_util.h"
 #include "common/random.h"
 #include "data/synthetic.h"
 #include "market/curves.h"
 #include "market/market_simulator.h"
 #include "market/marketplace.h"
 #include "mechanism/noise_mechanism.h"
-#include "service/service.h"
+#include "pricing/error_curve.h"
 
 namespace nimbus::market {
 namespace {
@@ -314,13 +314,12 @@ data::TrainTestSplit ClassificationSplit(uint64_t seed) {
   return data::Split(all, 0.75, rng);
 }
 
-Broker::Options FastOptions(bool use_cache) {
+Broker::Options FastOptions() {
   Broker::Options options;
   options.error_curve_points = 6;
   options.samples_per_curve_point = 40;
   options.min_inverse_ncp = 1.0;
   options.max_inverse_ncp = 50.0;
-  options.use_curve_cache = use_cache;
   return options;
 }
 
@@ -331,8 +330,8 @@ std::shared_ptr<const pricing::PricingFunction> SomeMbpPricing() {
   return *seller.NegotiatePricing();
 }
 
-Marketplace MakeMarket(uint64_t seed, bool use_cache) {
-  Marketplace market(ClassificationSplit(seed), FastOptions(use_cache));
+Marketplace MakeMarket(uint64_t seed) {
+  Marketplace market(ClassificationSplit(seed), FastOptions());
   EXPECT_TRUE(market
                   .AddOffering(ml::ModelKind::kLogisticRegression, 0.01,
                                SomeMbpPricing())
@@ -341,7 +340,7 @@ Marketplace MakeMarket(uint64_t seed, bool use_cache) {
 }
 
 TEST(CurveCacheBrokerTest, MarketplaceOfferingsShareOneCache) {
-  Marketplace market = MakeMarket(11, /*use_cache=*/true);
+  Marketplace market = MakeMarket(11);
   ASSERT_TRUE(
       market.AddOffering(ml::ModelKind::kLinearSvm, 0.05, SomeMbpPricing())
           .ok());
@@ -352,42 +351,32 @@ TEST(CurveCacheBrokerTest, MarketplaceOfferingsShareOneCache) {
   EXPECT_EQ(cache->size(), 2u);  // Per-offering seeds keep keys disjoint.
   for (ml::ModelKind kind : market.Offerings()) {
     Broker* broker = *market.BrokerFor(kind);
-    EXPECT_TRUE(broker->curve_cache_enabled());
     EXPECT_EQ(broker->curve_cache(), cache);
   }
 }
 
-TEST(CurveCacheBrokerTest, CacheOffFallsBackToLegacyMap) {
-  Marketplace market = MakeMarket(11, /*use_cache=*/false);
-  EXPECT_EQ(market.curve_cache(), nullptr);
+// The cache must hand back exactly the curve an uncached Monte-Carlo
+// build produces: same grid, same samples, same noise stream (the
+// broker's seed), bit for bit.
+TEST(CurveCacheBrokerTest, CachedCurveMatchesDirectEstimateBitForBit) {
+  Marketplace market = MakeMarket(11);
   Broker* broker = *market.BrokerFor(ml::ModelKind::kLogisticRegression);
-  EXPECT_FALSE(broker->curve_cache_enabled());
   const std::string loss = broker->model().report_losses().front()->name();
-  StatusOr<std::shared_ptr<const pricing::ErrorCurve>> curve =
+  StatusOr<std::shared_ptr<const pricing::ErrorCurve>> cached =
       broker->GetErrorCurve(loss);
-  StatusOr<std::shared_ptr<const pricing::ErrorCurve>> again =
-      broker->GetErrorCurve(loss);
-  ASSERT_TRUE(curve.ok());
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(curve->get(), again->get());
-}
+  ASSERT_TRUE(cached.ok());
 
-TEST(CurveCacheBrokerTest, CacheOnAndOffBuildBitIdenticalCurves) {
-  Marketplace cached = MakeMarket(11, /*use_cache=*/true);
-  Marketplace legacy = MakeMarket(11, /*use_cache=*/false);
-  Broker* cached_broker = *cached.BrokerFor(ml::ModelKind::kLogisticRegression);
-  Broker* legacy_broker = *legacy.BrokerFor(ml::ModelKind::kLogisticRegression);
-  const std::string loss =
-      cached_broker->model().report_losses().front()->name();
-
-  StatusOr<std::shared_ptr<const pricing::ErrorCurve>> a =
-      cached_broker->GetErrorCurve(loss);
-  StatusOr<std::shared_ptr<const pricing::ErrorCurve>> b =
-      legacy_broker->GetErrorCurve(loss);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  const auto& pa = (*a)->points();
-  const auto& pb = (*b)->points();
+  const Broker::Options& options = broker->options();
+  Rng rng(options.seed);
+  StatusOr<pricing::ErrorCurve> direct = pricing::ErrorCurve::Estimate(
+      broker->noise_mechanism(), broker->optimal_model(),
+      **broker->model().FindReportLoss(loss), ClassificationSplit(11).test,
+      Linspace(options.min_inverse_ncp, options.max_inverse_ncp,
+               options.error_curve_points),
+      options.samples_per_curve_point, rng);
+  ASSERT_TRUE(direct.ok());
+  const auto& pa = (*cached)->points();
+  const auto& pb = direct->points();
   ASSERT_EQ(pa.size(), pb.size());
   for (size_t i = 0; i < pa.size(); ++i) {
     EXPECT_EQ(pa[i].inverse_ncp, pb[i].inverse_ncp);
@@ -396,7 +385,7 @@ TEST(CurveCacheBrokerTest, CacheOnAndOffBuildBitIdenticalCurves) {
 }
 
 TEST(CurveCacheBrokerTest, QuoteBatchMatchesSingleQuotesBitForBit) {
-  Marketplace market = MakeMarket(11, /*use_cache=*/true);
+  Marketplace market = MakeMarket(11);
   Broker* broker = *market.BrokerFor(ml::ModelKind::kLogisticRegression);
   const std::string loss = broker->model().report_losses().front()->name();
   StatusOr<std::shared_ptr<const pricing::ErrorCurve>> curve =
@@ -454,57 +443,6 @@ TEST(CurveCacheBrokerTest, QuoteBatchMatchesSingleQuotesBitForBit) {
   broker->QuoteBatch(**curve, mixed, mixed_results);
   EXPECT_EQ(mixed_results[0].status().code(), StatusCode::kOutOfRange);
   EXPECT_TRUE(mixed_results[1].ok());
-}
-
-// The headline regression: the full serving stack produces the same
-// ledger bytes with the cache + batching on as with both off, even with
-// counted faults armed — caching must never change what is sold.
-class CurveCacheLedgerTest : public ::testing::Test {
- protected:
-  void SetUp() override { fault::Reset(); }
-  void TearDown() override { fault::Reset(); }
-};
-
-TEST_F(CurveCacheLedgerTest, LedgerBytesIdenticalCacheOnVsOff) {
-  constexpr uint64_t kSeed = 91;
-  constexpr int kRequests = 120;
-  auto run = [&](bool use_cache, int workers, int max_batch) -> std::string {
-    EXPECT_TRUE(fault::Configure(
-                    "service.execute:7:3,broker.quote:23:3,journal.append:11:2")
-                    .ok());
-    Marketplace market = MakeMarket(kSeed, use_cache);
-    service::ServiceOptions options;
-    options.num_workers = workers;
-    options.queue_capacity = kRequests;
-    options.max_quote_batch = max_batch;
-    options.quote_retry.max_attempts = 6;
-    options.journal_retry.max_attempts = 4;
-    options.seed = kSeed;
-    service::MarketService service(&market, options);
-    EXPECT_TRUE(service.Start().ok());
-    std::vector<std::future<service::PurchaseResult>> futures;
-    for (int i = 0; i < kRequests; ++i) {
-      service::PurchaseRequest request;
-      request.buyer_id = "buyer-" + std::to_string(i % 7);
-      request.model = ml::ModelKind::kLogisticRegression;
-      request.inverse_ncp = 1.5 + (i % 37);
-      futures.push_back(service.Submit(std::move(request)));
-    }
-    for (auto& future : futures) {
-      EXPECT_TRUE(future.get().status.ok());
-    }
-    EXPECT_TRUE(service.Drain().ok());
-    fault::Reset();
-    return market.ledger().ToCsv();
-  };
-
-  const std::string baseline =
-      run(/*use_cache=*/false, /*workers=*/1, /*max_batch=*/1);
-  ASSERT_FALSE(baseline.empty());
-  for (int workers : {1, 4, 8}) {
-    const std::string csv = run(/*use_cache=*/true, workers, /*max_batch=*/16);
-    EXPECT_EQ(csv, baseline) << "workers=" << workers;
-  }
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 
 #include "common/fault.h"
 #include "common/random.h"
-#include "common/telemetry.h"
 #include "data/synthetic.h"
 #include "market/curves.h"
 #include "market/ledger.h"
@@ -270,7 +269,6 @@ TEST(JournalTest, ImplausibleLengthIsCorruptNotAllocated) {
 }
 
 TEST(LedgerJournalTest, WriteThroughThenRecoverIsBitIdentical) {
-  telemetry::Registry::Global().ResetForTest();
   const std::string path = TempPath("nimbus_ledger_journal.waj");
   std::remove(path.c_str());
 
@@ -290,7 +288,9 @@ TEST(LedgerJournalTest, WriteThroughThenRecoverIsBitIdentical) {
   }
   ASSERT_TRUE(live.DetachJournal()->Close().ok());
 
-  StatusOr<Ledger> recovered = Ledger::Recover(path);
+  StatusOr<std::vector<LedgerEntry>> replayed = Journal::Replay(path);
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  StatusOr<Ledger> recovered = Ledger::FromEntries(*replayed);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_EQ(recovered->size(), live.size());
   EXPECT_EQ(recovered->TotalRevenue(), live.TotalRevenue());
@@ -298,10 +298,6 @@ TEST(LedgerJournalTest, WriteThroughThenRecoverIsBitIdentical) {
   EXPECT_EQ(recovered->TopBuyers(10), live.TopBuyers(10));
   EXPECT_EQ(recovered->ToCsv(), live.ToCsv());
   EXPECT_FALSE(recovered->journaling());
-  EXPECT_EQ(telemetry::Registry::Global()
-                .GetCounter("journal_recovered_records")
-                .Value(),
-            live.size());
   std::remove(path.c_str());
 }
 
@@ -329,7 +325,9 @@ TEST(LedgerJournalTest, FailedAppendLeavesLedgerUntouched) {
   ASSERT_TRUE(
       ledger.Record("bob", ml::ModelKind::kLinearSvm, 2.0, 10.0, 0.1).ok());
   ASSERT_TRUE(ledger.DetachJournal()->Close().ok());
-  StatusOr<Ledger> recovered = Ledger::Recover(path);
+  StatusOr<std::vector<LedgerEntry>> replayed = Journal::Replay(path);
+  ASSERT_TRUE(replayed.ok());
+  StatusOr<Ledger> recovered = Ledger::FromEntries(*replayed);
   ASSERT_TRUE(recovered.ok());
   ASSERT_EQ(recovered->size(), 1);
   EXPECT_EQ(recovered->entries()[0].buyer_id, "bob");
@@ -558,14 +556,15 @@ TEST(MarketplaceJournalTest, JournalingIsObservationOnlyAndRestores) {
   EXPECT_EQ(journaled.ledger().ToCsv(), plain.ledger().ToCsv());
 
   // "Crash": drop the journaled marketplace, then rebuild a fresh one
-  // with the same offering sequence and restore from the journal.
+  // with the same offering sequence and restore from the journal (no
+  // snapshot exists, so the ladder replays the whole journal).
   const double pre_crash_revenue = journaled.total_revenue();
   const std::string pre_crash_csv = journaled.ledger().ToCsv();
   const auto pre_crash_sales = journaled.ledger().SalesPerPricePoint();
   { Marketplace dropped = std::move(journaled); }
 
   Marketplace restored = MakeMarket(7);
-  ASSERT_TRUE(restored.RestoreFromJournal(path).ok());
+  ASSERT_TRUE(restored.RestoreFromCheckpoint(path).ok());
   EXPECT_EQ(restored.total_revenue(), pre_crash_revenue);
   EXPECT_EQ(restored.ledger().ToCsv(), pre_crash_csv);
   EXPECT_EQ(restored.ledger().SalesPerPricePoint(), pre_crash_sales);
@@ -597,7 +596,7 @@ TEST(MarketplaceJournalTest, JournalingIsObservationOnlyAndRestores) {
   { Marketplace dropped = std::move(restored); }
 
   Marketplace restored2 = MakeMarket(7);
-  ASSERT_TRUE(restored2.RestoreFromJournal(path).ok());
+  ASSERT_TRUE(restored2.RestoreFromCheckpoint(path).ok());
   EXPECT_EQ(restored2.ledger().ToCsv(), final_csv);
   EXPECT_EQ(restored2.total_revenue(), final_revenue);
   std::remove(path.c_str());
@@ -618,15 +617,53 @@ TEST(MarketplaceJournalTest, RestoreRejectsUnknownOfferingsAndNonEmptyState) {
                   .AddOffering(ml::ModelKind::kLogisticRegression, 0.01,
                                SomeMbpPricing())
                   .ok());
-  EXPECT_EQ(partial.RestoreFromJournal(path).code(),
+  EXPECT_EQ(partial.RestoreFromCheckpoint(path).code(),
             StatusCode::kFailedPrecondition);
 
   // Restoring over sales already on the books is rejected too.
   Marketplace busy = MakeMarket(9);
   ASSERT_TRUE(
       busy.Buy("carol", ml::ModelKind::kLinearSvm, 5.0, "zero_one").ok());
-  EXPECT_EQ(busy.RestoreFromJournal(path).code(),
+  EXPECT_EQ(busy.RestoreFromCheckpoint(path).code(),
             StatusCode::kFailedPrecondition);
+  std::remove(path.c_str());
+}
+
+// A sale the journal refuses is booked nowhere: not in the ledger, not
+// in the collusion monitor, and not in the broker's sale counters (which
+// the next snapshot would otherwise carry one sale ahead of the ledger).
+TEST(MarketplaceJournalTest, FailedAppendLeavesBrokerCountersUntouched) {
+  const std::string path = TempPath("nimbus_marketplace_refused.waj");
+  std::remove(path.c_str());
+  Marketplace market = MakeMarket(11);
+  ASSERT_TRUE(market.EnableJournal(path).ok());
+  Broker* broker = *market.BrokerFor(ml::ModelKind::kLinearSvm);
+
+  fault::Reset();
+  ASSERT_TRUE(fault::Configure("journal.append:1:2").ok());
+  EXPECT_EQ(market.Buy("carol", ml::ModelKind::kLinearSvm, 5.0, "zero_one")
+                .status()
+                .code(),
+            StatusCode::kInternal);
+  EXPECT_EQ(market
+                .BuyWithPriceBudget("carol", ml::ModelKind::kLinearSvm, 40.0,
+                                    "zero_one")
+                .status()
+                .code(),
+            StatusCode::kInternal);
+  fault::Reset();
+  EXPECT_EQ(market.ledger().size(), 0);
+  EXPECT_EQ(broker->sales_count(), 0);
+  EXPECT_EQ(broker->revenue_collected(), 0.0);
+  EXPECT_EQ((*market.MonitorFor(ml::ModelKind::kLinearSvm))->history().size(),
+            0u);
+
+  // The next accepted sale is counted exactly once everywhere.
+  ASSERT_TRUE(
+      market.Buy("carol", ml::ModelKind::kLinearSvm, 5.0, "zero_one").ok());
+  EXPECT_EQ(market.ledger().size(), 1);
+  EXPECT_EQ(broker->sales_count(), 1);
+  EXPECT_EQ(broker->revenue_collected(), market.total_revenue());
   std::remove(path.c_str());
 }
 

@@ -1,6 +1,5 @@
 #include "service/service.h"
 
-#include <cstdio>
 #include <future>
 #include <memory>
 #include <string>
@@ -15,16 +14,14 @@
 #include "market/curves.h"
 #include "market/market_simulator.h"
 #include "market/marketplace.h"
+#include "one_shard_catalog.h"
 #include "service/admission_queue.h"
 
 namespace nimbus::service {
 namespace {
 
 using market::Marketplace;
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testutil::OneShardCatalog;
 
 data::TrainTestSplit ClassificationSplit(uint64_t seed) {
   Rng rng(seed);
@@ -79,11 +76,11 @@ class ServiceTest : public ::testing::Test {
 };
 
 TEST_F(ServiceTest, BasicPurchaseFlow) {
-  Marketplace market = MakeMarket(21);
+  OneShardCatalog store([] { return MakeMarket(21); });
   ServiceOptions options;
   options.num_workers = 2;
   options.queue_capacity = 64;
-  MarketService service(&market, options);
+  MarketService service(store.catalog(), options);
   ASSERT_TRUE(service.Start().ok());
 
   std::vector<std::future<PurchaseResult>> futures;
@@ -99,7 +96,7 @@ TEST_F(ServiceTest, BasicPurchaseFlow) {
     EXPECT_EQ(result.quote_attempts, 1);
     EXPECT_EQ(result.journal_attempts, 1);
   }
-  EXPECT_EQ(market.ledger().size(), 6);
+  EXPECT_EQ(store.market().ledger().size(), 6);
 
   const MarketService::Stats stats = service.stats();
   EXPECT_EQ(stats.submitted, 6);
@@ -112,12 +109,12 @@ TEST_F(ServiceTest, BasicPurchaseFlow) {
 }
 
 TEST_F(ServiceTest, SubmitValidation) {
-  Marketplace market = MakeMarket(22);
-  MarketService unstarted(&market, ServiceOptions{});
+  OneShardCatalog store([] { return MakeMarket(22); });
+  MarketService unstarted(store.catalog(), ServiceOptions{});
   PurchaseResult result = unstarted.Submit(MakeRequest(0)).get();
   EXPECT_EQ(result.status.code(), StatusCode::kFailedPrecondition);
 
-  MarketService service(&market, ServiceOptions{});
+  MarketService service(store.catalog(), ServiceOptions{});
   ASSERT_TRUE(service.Start().ok());
   PurchaseRequest anonymous = MakeRequest(0);
   anonymous.buyer_id.clear();
@@ -149,8 +146,8 @@ TEST_F(ServiceTest, BoundedQueueShedsWithTypedStatus) {
 }
 
 TEST_F(ServiceTest, EnqueueFaultShedsTyped) {
-  Marketplace market = MakeMarket(23);
-  MarketService service(&market, ServiceOptions{});
+  OneShardCatalog store([] { return MakeMarket(23); });
+  MarketService service(store.catalog(), ServiceOptions{});
   ASSERT_TRUE(service.Start().ok());
   ASSERT_TRUE(fault::Configure("service.enqueue:1:1").ok());
   PurchaseResult shed = service.Submit(MakeRequest(0)).get();
@@ -167,8 +164,8 @@ TEST_F(ServiceTest, EnqueueFaultShedsTyped) {
 }
 
 TEST_F(ServiceTest, DrainStopsAdmissionsAndIsIdempotent) {
-  Marketplace market = MakeMarket(24);
-  MarketService service(&market, ServiceOptions{});
+  OneShardCatalog store([] { return MakeMarket(24); });
+  MarketService service(store.catalog(), ServiceOptions{});
   ASSERT_TRUE(service.Start().ok());
   ASSERT_TRUE(service.Submit(MakeRequest(0)).get().status.ok());
   EXPECT_TRUE(service.Drain().ok());
@@ -176,16 +173,16 @@ TEST_F(ServiceTest, DrainStopsAdmissionsAndIsIdempotent) {
   PurchaseResult late = service.Submit(MakeRequest(1)).get();
   EXPECT_EQ(late.status.code(), StatusCode::kUnavailable);
   EXPECT_TRUE(service.Drain().ok());  // Second drain reports, not redoes.
-  EXPECT_EQ(market.ledger().size(), 1);
+  EXPECT_EQ(store.market().ledger().size(), 1);
 }
 
 TEST_F(ServiceTest, RetryAbsorbsExecuteFaultsWithoutChangingTheLedger) {
   // Reference run: same seeds, no faults.
-  Marketplace reference = MakeMarket(25);
+  OneShardCatalog reference([] { return MakeMarket(25); });
   {
     ServiceOptions options;
     options.num_workers = 1;
-    MarketService service(&reference, options);
+    MarketService service(reference.catalog(), options);
     ASSERT_TRUE(service.Start().ok());
     for (int i = 0; i < 4; ++i) {
       ASSERT_TRUE(service.Submit(MakeRequest(i)).get().status.ok());
@@ -193,12 +190,12 @@ TEST_F(ServiceTest, RetryAbsorbsExecuteFaultsWithoutChangingTheLedger) {
     ASSERT_TRUE(service.Drain().ok());
   }
 
-  Marketplace market = MakeMarket(25);
+  OneShardCatalog store([] { return MakeMarket(25); });
   ServiceOptions options;
   options.num_workers = 1;
   options.quote_retry.max_attempts = 4;
   options.quote_retry.initial_delay_seconds = 1e-6;
-  MarketService service(&market, options);
+  MarketService service(store.catalog(), options);
   ASSERT_TRUE(service.Start().ok());
   // Fail the 2nd and 3rd execute attempts: request 1 retries twice and
   // must still produce the exact same purchase bytes.
@@ -216,11 +213,12 @@ TEST_F(ServiceTest, RetryAbsorbsExecuteFaultsWithoutChangingTheLedger) {
   EXPECT_EQ(total_quote_attempts, 6);  // 4 firsts + 2 absorbed retries.
   EXPECT_GE(service.stats().retries, 2);
   ASSERT_TRUE(service.Drain().ok());
-  EXPECT_EQ(market.ledger().ToCsv(), reference.ledger().ToCsv());
+  EXPECT_EQ(store.market().ledger().ToCsv(),
+            reference.market().ledger().ToCsv());
 }
 
 TEST_F(ServiceTest, DeadlineExceededWhenBackoffCannotFinish) {
-  Marketplace market = MakeMarket(26);
+  OneShardCatalog store([] { return MakeMarket(26); });
   ManualClock clock;
   ServiceOptions options;
   options.num_workers = 1;
@@ -230,7 +228,7 @@ TEST_F(ServiceTest, DeadlineExceededWhenBackoffCannotFinish) {
   options.quote_retry.initial_delay_seconds = 1.0;  // > deadline budget.
   options.quote_retry.max_delay_seconds = 10.0;
   options.quote_retry.jitter = 0.0;
-  MarketService service(&market, options);
+  MarketService service(store.catalog(), options);
   ASSERT_TRUE(service.Start().ok());
   ASSERT_TRUE(fault::Configure("service.execute:1:1").ok());
   PurchaseResult result = service.Submit(MakeRequest(0)).get();
@@ -239,12 +237,12 @@ TEST_F(ServiceTest, DeadlineExceededWhenBackoffCannotFinish) {
   const MarketService::Stats stats = service.stats();
   EXPECT_EQ(stats.deadline_exceeded, 1);
   EXPECT_EQ(stats.failed, 1);
-  EXPECT_EQ(market.ledger().size(), 0);  // Nothing half-committed.
+  EXPECT_EQ(store.market().ledger().size(), 0);  // Nothing half-committed.
   EXPECT_TRUE(service.Drain().ok());
 }
 
 TEST_F(ServiceTest, QuoteBreakerTripsThenRecovers) {
-  Marketplace market = MakeMarket(27);
+  OneShardCatalog store([] { return MakeMarket(27); });
   ManualClock clock;
   ServiceOptions options;
   options.num_workers = 1;
@@ -253,7 +251,7 @@ TEST_F(ServiceTest, QuoteBreakerTripsThenRecovers) {
   options.quote_breaker.failure_threshold = 2;
   options.quote_breaker.open_seconds = 1e6;
   options.quote_breaker.half_open_successes = 1;
-  MarketService service(&market, options);
+  MarketService service(store.catalog(), options);
   ASSERT_TRUE(service.Start().ok());
 
   ASSERT_TRUE(fault::Configure("broker.quote:1:*").ok());
@@ -275,33 +273,30 @@ TEST_F(ServiceTest, QuoteBreakerTripsThenRecovers) {
   EXPECT_TRUE(recovered.status.ok()) << recovered.status.ToString();
   EXPECT_EQ(service.quote_breaker().state(), CircuitBreaker::State::kClosed);
   EXPECT_EQ(service.quote_breaker().opened_count(), 1);
-  EXPECT_EQ(market.ledger().size(), 1);
+  EXPECT_EQ(store.market().ledger().size(), 1);
   EXPECT_TRUE(service.Drain().ok());
 }
 
 TEST_F(ServiceTest, CommitRetryAbsorbsJournalFaultAndRestores) {
-  const std::string path = TempPath("service_commit_retry.waj");
-  std::remove(path.c_str());
-  Marketplace market = MakeMarket(28);
-  ASSERT_TRUE(market.EnableJournal(path, market::Journal::Options{}).ok());
+  OneShardCatalog store([] { return MakeMarket(28); });
   ServiceOptions options;
   options.num_workers = 1;
   options.journal_retry.max_attempts = 3;
   options.journal_retry.initial_delay_seconds = 1e-6;
-  MarketService service(&market, options);
+  MarketService service(store.catalog(), options);
   ASSERT_TRUE(service.Start().ok());
   ASSERT_TRUE(fault::Configure("journal.append:1:1").ok());
   PurchaseResult result = service.Submit(MakeRequest(0)).get();
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_EQ(result.journal_attempts, 2);  // One absorbed journal fault.
   ASSERT_TRUE(service.Drain().ok());
-  ASSERT_EQ(market.ledger().size(), 1);
+  ASSERT_EQ(store.market().ledger().size(), 1);
 
   // The retried append left exactly one record behind.
   Marketplace restored = MakeMarket(28);
   ASSERT_TRUE(
-      restored.RestoreFromJournal(path, market::Journal::Options{}).ok());
-  EXPECT_EQ(restored.ledger().ToCsv(), market.ledger().ToCsv());
+      restored.RestoreFromCheckpoint(store.shard().journal_path()).ok());
+  EXPECT_EQ(restored.ledger().ToCsv(), store.market().ledger().ToCsv());
 }
 
 TEST_F(ServiceTest, LedgerBytesIdenticalAcrossWorkerCountsUnderFaults) {
@@ -312,14 +307,14 @@ TEST_F(ServiceTest, LedgerBytesIdenticalAcrossWorkerCountsUnderFaults) {
   const int kRequests = 12;
   std::vector<std::string> csvs;
   for (int workers : {1, 3, 8}) {
-    Marketplace market = MakeMarket(29);
+    OneShardCatalog store([] { return MakeMarket(29); });
     ServiceOptions options;
     options.num_workers = workers;
     options.queue_capacity = kRequests;
     options.quote_retry.max_attempts = 6;
     options.quote_retry.initial_delay_seconds = 1e-6;
     options.journal_retry.initial_delay_seconds = 1e-6;
-    MarketService service(&market, options);
+    MarketService service(store.catalog(), options);
     ASSERT_TRUE(service.Start().ok());
     ASSERT_TRUE(
         fault::Configure("service.execute:2:3,broker.quote:4:2").ok());
@@ -333,7 +328,7 @@ TEST_F(ServiceTest, LedgerBytesIdenticalAcrossWorkerCountsUnderFaults) {
     }
     ASSERT_TRUE(service.Drain().ok());
     fault::Reset();
-    csvs.push_back(market.ledger().ToCsv());
+    csvs.push_back(store.market().ledger().ToCsv());
   }
   EXPECT_EQ(csvs[0], csvs[1]);
   EXPECT_EQ(csvs[0], csvs[2]);

@@ -429,7 +429,6 @@ TEST(SnapshotLadderTest, CleanRestoreUsesNewestGenerationAndOnlyTheTail) {
   EXPECT_EQ(report.tail_records, 2);  // O(delta), not O(history).
   EXPECT_EQ(report.snapshots_rejected, 0);
   ExpectBitIdenticalRestore(fixture, restored);
-  EXPECT_FALSE(restored.recovering());
 
   // The restored marketplace keeps trading and checkpointing.
   ASSERT_TRUE(restored.EnableCheckpoints(CheckpointPolicy{}).ok());
