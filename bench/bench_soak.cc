@@ -237,8 +237,8 @@ bool BoolFlag(int argc, char** argv, const char* name) {
 std::string TempJournalPath(const std::string& tag) {
   const char* tmp = std::getenv("TMPDIR");
   std::string dir = (tmp != nullptr && *tmp != '\0') ? tmp : "/tmp";
-  // Process-unique so soak_fast and soak_fast_tsan (two registrations
-  // of this binary) can run concurrently under ctest -j.
+  // Process-unique so concurrent runs of this binary never clobber each
+  // other's files.
   return dir + "/nimbus_soak_" + std::to_string(::getpid()) + "_" + tag +
          ".waj";
 }

@@ -75,18 +75,16 @@ int main() {
   const std::vector<double> grid = Linspace(1.0, 100.0, 20);
   for (int round = 0; round < 6; ++round) {
     Rng round_rng(1000 + static_cast<uint64_t>(round));
-    const double revenue_before = broker->revenue_collected();
     auto outcome =
         market::RunPopulation(*broker, population, "squared", round_rng);
     if (!outcome.ok()) {
       std::fprintf(stderr, "%s\n", outcome.status().ToString().c_str());
       return 1;
     }
-    const double round_revenue = broker->revenue_collected() - revenue_before;
     std::printf(
         "round %d: pricing '%s' served %3d/%3d buyers, revenue %8.2f\n",
         round, broker->pricing_function().name().c_str(), outcome->served,
-        outcome->buyers, round_revenue);
+        outcome->buyers, outcome->revenue);
 
     // Probe population with PRICE EXPLORATION: transactions only reveal
     // a lower bound on willingness to pay, so a learner that never

@@ -20,9 +20,16 @@
 
 namespace {
 
+// What the personas paid, summed as they buy.
+struct Till {
+  double revenue = 0.0;
+  int sales = 0;
+};
+
 void ReportPurchase(const char* persona,
                     const nimbus::StatusOr<nimbus::market::Broker::Purchase>&
-                        purchase) {
+                        purchase,
+                    Till& till) {
   if (!purchase.ok()) {
     std::printf("%-10s could not buy: %s\n", persona,
                 purchase.status().ToString().c_str());
@@ -32,6 +39,8 @@ void ReportPurchase(const char* persona,
       "%-10s bought 1/NCP=%6.2f  expected 0/1 error=%.4f  paid %7.2f\n",
       persona, purchase->inverse_ncp, purchase->expected_error,
       purchase->price);
+  till.revenue += purchase->price;
+  ++till.sales;
 }
 
 }  // namespace
@@ -93,16 +102,18 @@ int main() {
   }
   std::printf("\n");
 
+  Till till;
   // Persona 1: price budget.
-  ReportPurchase("startup", broker->BuyWithPriceBudget(40.0, "zero_one"));
+  ReportPurchase("startup", broker->BuyWithPriceBudget(40.0, "zero_one"),
+                 till);
   // Persona 2: error budget, slightly looser than the best version.
   const double best_error = menu->back().expected_error;
-  ReportPurchase("lab",
-                 broker->BuyWithErrorBudget(best_error * 1.1, "zero_one"));
+  ReportPurchase("lab", broker->BuyWithErrorBudget(best_error * 1.1, "zero_one"),
+                 till);
   // Persona 3: a point straight off the menu.
-  ReportPurchase("hobbyist", broker->BuyAtInverseNcp(5.0, "zero_one"));
+  ReportPurchase("hobbyist", broker->BuyAtInverseNcp(5.0, "zero_one"), till);
   // Persona 4: an impossible ask, to show graceful failure.
-  ReportPurchase("dreamer", broker->BuyWithErrorBudget(0.0, "zero_one"));
+  ReportPurchase("dreamer", broker->BuyWithErrorBudget(0.0, "zero_one"), till);
 
   // Finally, replay the research population through the market.
   auto sim = market::SimulateMarket(*broker, *research, "zero_one");
@@ -111,7 +122,7 @@ int main() {
       "transactions, mean delivered error %.4f.\n",
       sim->revenue, 100.0 * sim->affordability, sim->transactions,
       sim->mean_delivered_error);
-  std::printf("Broker till: %.2f across %d sales.\n",
-              broker->revenue_collected(), broker->sales_count());
+  std::printf("Persona till: %.2f across %d sales.\n", till.revenue,
+              till.sales);
   return 0;
 }

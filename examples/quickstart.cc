@@ -77,7 +77,6 @@ int main() {
       "\nBuyer purchased a model with expected error %.4f for %.2f "
       "(NCP delta = %.4f).\n",
       purchase->expected_error, purchase->price, purchase->ncp);
-  std::printf("Broker revenue so far: %.2f across %d sale(s).\n",
-              broker->revenue_collected(), broker->sales_count());
+  std::printf("Revenue so far: %.2f across 1 sale.\n", purchase->price);
   return 0;
 }

@@ -13,11 +13,11 @@ namespace nimbus::market {
 namespace {
 
 // Request-path telemetry (see DESIGN.md, "Observability"): quote volume
-// and latency, booked sales, and revenue to date, each a labeled family
-// keyed by offering (the broker's model kind) — the rollup surface a
-// sharded catalog reports into. Brokers cache their offering's series
-// references at construction so the hot path still pays only relaxed
-// atomic updates.
+// and latency, each a labeled family keyed by offering (the broker's
+// model kind) — the rollup surface a sharded catalog reports into. Sales
+// and revenue are the ledger's (ledger_sales_total, ledger_revenue_total).
+// Brokers cache their offering's series references at construction so
+// the hot path still pays only relaxed atomic updates.
 telemetry::CounterVec& QuotesVec() {
   static telemetry::CounterVec& vec =
       telemetry::Registry::Global().GetCounterVec("broker_quotes_total",
@@ -29,20 +29,6 @@ telemetry::HistogramVec& QuoteLatencyVec() {
   static telemetry::HistogramVec& vec =
       telemetry::Registry::Global().GetHistogramVec("broker_quote_latency_us",
                                                     "offering");
-  return vec;
-}
-
-telemetry::CounterVec& SalesVec() {
-  static telemetry::CounterVec& vec =
-      telemetry::Registry::Global().GetCounterVec("broker_sales_total",
-                                                  "offering");
-  return vec;
-}
-
-telemetry::GaugeVec& RevenueVec() {
-  static telemetry::GaugeVec& vec =
-      telemetry::Registry::Global().GetGaugeVec("broker_revenue_collected",
-                                                "offering");
   return vec;
 }
 
@@ -117,8 +103,6 @@ Broker::Broker(data::TrainTestSplit split, ml::ModelSpec model,
   const std::string offering(ml::ModelKindToString(model_.kind()));
   quotes_counter_ = &QuotesVec().WithLabel(offering);
   quote_latency_ = &QuoteLatencyVec().WithLabel(offering);
-  sales_counter_ = &SalesVec().WithLabel(offering);
-  revenue_gauge_ = &RevenueVec().WithLabel(offering);
 }
 
 void Broker::SetPricingFunction(
@@ -236,6 +220,18 @@ StatusOr<Broker::Purchase> Broker::QuoteAtInverseNcp(
   telemetry::TraceSpan span("broker.quote", trace);
   telemetry::ScopedTimer timer(*quote_latency_);
   quotes_counter_->Increment();
+  StatusOr<Purchase> purchase =
+      QuoteOne(inverse_ncp, curve.ErrorAtInverseNcp(inverse_ncp),
+               curve.degraded(), rng);
+  if (purchase.ok() && purchase->degraded) {
+    span.Annotate("degraded");
+  }
+  return purchase;
+}
+
+StatusOr<Broker::Purchase> Broker::QuoteOne(double inverse_ncp,
+                                            double expected_error,
+                                            bool degraded, Rng& rng) const {
   FAULT_POINT("broker.quote");
   if (inverse_ncp < options_.min_inverse_ncp ||
       inverse_ncp > options_.max_inverse_ncp) {
@@ -243,14 +239,11 @@ StatusOr<Broker::Purchase> Broker::QuoteAtInverseNcp(
                            "inverse-NCP range");
   }
   Purchase purchase;
-  purchase.degraded = curve.degraded();
-  if (purchase.degraded) {
-    span.Annotate("degraded");
-  }
+  purchase.degraded = degraded;
   purchase.inverse_ncp = inverse_ncp;
   purchase.ncp = 1.0 / inverse_ncp;
   purchase.price = pricing_->PriceAtInverseNcp(inverse_ncp);
-  purchase.expected_error = curve.ErrorAtInverseNcp(inverse_ncp);
+  purchase.expected_error = expected_error;
   purchase.model = mechanism_->Perturb(optimal_model_, purchase.ncp, rng);
   return purchase;
 }
@@ -281,77 +274,11 @@ void Broker::QuoteBatch(const pricing::ErrorCurve& curve,
   }
   curve.ErrorAtInverseNcpBatch(xs, errors);
   for (size_t i = 0; i < items.size(); ++i) {
-    // Same failure order as QuoteAtInverseNcp: fault point first, then
-    // the range check. A faulted item's rng is left untouched, exactly
-    // as the single path leaves it.
-    if (fault::ShouldFail("broker.quote")) {
-      results[i] = InternalError("fault injected at 'broker.quote'");
-      continue;
-    }
-    const double x = items[i].inverse_ncp;
-    if (x < options_.min_inverse_ncp || x > options_.max_inverse_ncp) {
-      results[i] = OutOfRangeError(
-          "requested version is outside the supported inverse-NCP range");
-      continue;
-    }
-    Purchase purchase;
-    purchase.degraded = degraded;
-    purchase.inverse_ncp = x;
-    purchase.ncp = 1.0 / x;
-    purchase.price = pricing_->PriceAtInverseNcp(x);
-    purchase.expected_error = errors[i];
-    purchase.model =
-        mechanism_->Perturb(optimal_model_, purchase.ncp, *items[i].rng);
-    results[i] = std::move(purchase);
+    results[i] = QuoteOne(xs[i], errors[i], degraded, *items[i].rng);
   }
-}
-
-void Broker::RecordSale(const Purchase& purchase) {
-  revenue_collected_ += purchase.price;
-  ++sales_count_;
-  sales_counter_->Increment();
-  revenue_gauge_->Add(purchase.price);
-}
-
-Status Broker::RestoreSaleCounters(int64_t sales_count,
-                                   double revenue_collected) {
-  if (sales_count < 0 || revenue_collected < 0.0) {
-    return InvalidArgumentError("restored sale counters must be >= 0");
-  }
-  if (sales_count_ != 0 || revenue_collected_ != 0.0) {
-    return FailedPreconditionError(
-        "broker already booked sales (restore requires a fresh broker)");
-  }
-  sales_count_ = static_cast<int>(sales_count);
-  revenue_collected_ = revenue_collected;
-  sales_counter_->Increment(sales_count);
-  revenue_gauge_->Add(revenue_collected);
-  return OkStatus();
-}
-
-StatusOr<Broker::Purchase> Broker::Book(StatusOr<Purchase> purchase) {
-  if (purchase.ok()) {
-    RecordSale(*purchase);
-  }
-  return purchase;
 }
 
 StatusOr<Broker::Purchase> Broker::BuyAtInverseNcp(
-    double inverse_ncp, const std::string& report_loss_name) {
-  return Book(PickAtInverseNcp(inverse_ncp, report_loss_name));
-}
-
-StatusOr<Broker::Purchase> Broker::BuyWithErrorBudget(
-    double error_budget, const std::string& report_loss_name) {
-  return Book(PickWithErrorBudget(error_budget, report_loss_name));
-}
-
-StatusOr<Broker::Purchase> Broker::BuyWithPriceBudget(
-    double price_budget, const std::string& report_loss_name) {
-  return Book(PickWithPriceBudget(price_budget, report_loss_name));
-}
-
-StatusOr<Broker::Purchase> Broker::PickAtInverseNcp(
     double inverse_ncp, const std::string& report_loss_name) {
   if (inverse_ncp < options_.min_inverse_ncp ||
       inverse_ncp > options_.max_inverse_ncp) {
@@ -363,7 +290,7 @@ StatusOr<Broker::Purchase> Broker::PickAtInverseNcp(
   return QuoteAtInverseNcp(inverse_ncp, *curve, rng_);
 }
 
-StatusOr<Broker::Purchase> Broker::PickWithErrorBudget(
+StatusOr<Broker::Purchase> Broker::BuyWithErrorBudget(
     double error_budget, const std::string& report_loss_name) {
   NIMBUS_ASSIGN_OR_RETURN(std::shared_ptr<const pricing::ErrorCurve> curve,
                           GetErrorCurve(report_loss_name));
@@ -375,7 +302,7 @@ StatusOr<Broker::Purchase> Broker::PickWithErrorBudget(
   return QuoteAtInverseNcp(x, *curve, rng_);
 }
 
-StatusOr<Broker::Purchase> Broker::PickWithPriceBudget(
+StatusOr<Broker::Purchase> Broker::BuyWithPriceBudget(
     double price_budget, const std::string& report_loss_name) {
   if (price_budget < 0.0) {
     return InvalidArgumentError("price budget must be non-negative");

@@ -129,6 +129,9 @@ class Broker {
     bool degraded = false;
   };
 
+  // The three buyer options of §3.2. Each picks a version and quotes it
+  // with noise drawn from the broker's own stream; the broker books
+  // nothing — the marketplace ledger is the only record of sales.
   // Option 1: buy the version at a specific point x = 1/δ of the curve.
   StatusOr<Purchase> BuyAtInverseNcp(double inverse_ncp,
                                      const std::string& report_loss_name);
@@ -143,11 +146,10 @@ class Broker {
   StatusOr<Purchase> BuyWithPriceBudget(double price_budget,
                                         const std::string& report_loss_name);
 
-  // Concurrent-sale support for the parallel market replay. Quote builds
-  // the same purchase as BuyAtInverseNcp against an already-computed
-  // error curve, drawing noise from the caller-supplied `rng` and leaving
-  // the ledger untouched — safe to call from many threads at once. The
-  // caller books accepted quotes with RecordSale (single-threaded).
+  // Concurrent quoting for the serving layer. Quote builds the same
+  // purchase as BuyAtInverseNcp against an already-computed error curve,
+  // drawing noise from the caller-supplied `rng` — safe to call from many
+  // threads at once. The caller books accepted quotes in its ledger.
   // `trace` (optional) nests the quote span under the caller's request.
   StatusOr<Purchase> QuoteAtInverseNcp(
       double inverse_ncp, const pricing::ErrorCurve& curve, Rng& rng,
@@ -174,42 +176,21 @@ class Broker {
                   std::span<StatusOr<Purchase>> results,
                   const telemetry::TraceContext* trace = nullptr) const;
 
-  void RecordSale(const Purchase& purchase);
-
-  // Snapshot restore: installs the accumulated sale counters exactly as
-  // captured (bit-identical revenue, no per-sale replay) and mirrors
-  // the per-offering telemetry in bulk. The broker must not have booked
-  // any sale yet.
-  Status RestoreSaleCounters(int64_t sales_count, double revenue_collected);
-
   // Derives an independent child stream from the broker's master RNG
   // (advancing it once); used to seed deterministic per-buyer streams.
   Rng ForkRng() { return rng_.Fork(); }
 
-  // Total payments collected so far.
-  double revenue_collected() const { return revenue_collected_; }
-  int sales_count() const { return sales_count_; }
-
  private:
-  // Marketplace sells through the Pick* variants below so that it can
-  // book a sale in its ledger before the broker counts it.
-  friend class Marketplace;
-
   Broker(data::TrainTestSplit split, ml::ModelSpec model,
          std::unique_ptr<mechanism::NoiseMechanism> mechanism,
          Options options, linalg::Vector optimal_model);
 
-  // Options 1-3 without the booking: the purchase the matching Buy*
-  // returns, noise drawn from the broker's own stream, sale counters
-  // untouched. Buy* = Pick* + RecordSale.
-  StatusOr<Purchase> PickAtInverseNcp(double inverse_ncp,
-                                      const std::string& report_loss_name);
-  StatusOr<Purchase> PickWithErrorBudget(double error_budget,
-                                         const std::string& report_loss_name);
-  StatusOr<Purchase> PickWithPriceBudget(double price_budget,
-                                         const std::string& report_loss_name);
-  // Counts a successful pick as a sale and passes the outcome through.
-  StatusOr<Purchase> Book(StatusOr<Purchase> purchase);
+  // The per-item quote both QuoteAtInverseNcp and QuoteBatch run: the
+  // 'broker.quote' fault point, then the range check, then the purchase
+  // at `expected_error` with noise drawn from `rng`. A faulted or
+  // rejected item leaves `rng` untouched.
+  StatusOr<Purchase> QuoteOne(double inverse_ncp, double expected_error,
+                              bool degraded, Rng& rng) const;
 
   // Budget-reduced per-point sample count (Options::curve_draw_budget);
   // part of the curve's cache identity.
@@ -238,11 +219,7 @@ class Broker {
   // registry-owned, so plain pointers keep the broker movable.
   telemetry::Counter* quotes_counter_ = nullptr;
   telemetry::Histogram* quote_latency_ = nullptr;
-  telemetry::Counter* sales_counter_ = nullptr;
-  telemetry::Gauge* revenue_gauge_ = nullptr;
   Rng rng_;
-  double revenue_collected_ = 0.0;
-  int sales_count_ = 0;
 };
 
 }  // namespace nimbus::market

@@ -1,7 +1,6 @@
 #include "market/ledger.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -18,11 +17,12 @@ namespace nimbus::market {
 namespace {
 
 // Audit counters mirrored into the telemetry registry on every Record,
-// so benches and the metrics snapshot report revenue without re-walking
-// the ledger — labeled per offering (the entry's model kind), matching
-// the broker's per-offering families. Per-price-point counters are
-// keyed by the formatted inverse-NCP (cardinality is bounded by the
-// broker's version grid).
+// so benches and the metrics snapshot report sales and revenue without
+// re-walking the ledger — labeled per offering (the entry's model kind),
+// matching the broker's per-offering families. Per-price-point sales are
+// one family labeled by the formatted inverse-NCP: buyers may ask for
+// any version in range, so the family's series bound (kMaxSeries, then
+// `__other__`) is what keeps the registry finite.
 telemetry::CounterVec& LedgerSalesVec() {
   static telemetry::CounterVec& vec =
       telemetry::Registry::Global().GetCounterVec("ledger_sales_total",
@@ -37,15 +37,17 @@ telemetry::GaugeVec& LedgerRevenueVec() {
   return vec;
 }
 
-std::string PricePointMetricName(double inverse_ncp) {
+telemetry::CounterVec& LedgerPointSalesVec() {
+  static telemetry::CounterVec& vec =
+      telemetry::Registry::Global().GetCounterVec("ledger_point_sales_total",
+                                                  "inverse_ncp");
+  return vec;
+}
+
+std::string PricePointLabel(double inverse_ncp) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.6g", inverse_ncp);
-  std::string name = "ledger_sales_point_";
-  for (const char* p = buf; *p != '\0'; ++p) {
-    const char c = *p;
-    name += (std::isalnum(static_cast<unsigned char>(c)) != 0) ? c : '_';
-  }
-  return name;
+  return buf;
 }
 
 // RFC-4180 field quoting: fields containing the separator, quotes or
@@ -192,8 +194,8 @@ void Ledger::Commit(const LedgerEntry& entry) {
   const std::string offering(ml::ModelKindToString(entry.model));
   LedgerSalesVec().WithLabel(offering).Increment();
   LedgerRevenueVec().WithLabel(offering).Add(entry.price);
-  telemetry::Registry::Global()
-      .GetCounter(PricePointMetricName(entry.inverse_ncp))
+  LedgerPointSalesVec()
+      .WithLabel(PricePointLabel(entry.inverse_ncp))
       .Increment();
 }
 
@@ -286,8 +288,8 @@ StatusOr<Ledger> Ledger::FromRecoveredState(
         .Add(revenue);
   }
   for (const auto& [inverse_ncp, sales] : ledger.sales_per_price_point_) {
-    telemetry::Registry::Global()
-        .GetCounter(PricePointMetricName(inverse_ncp))
+    LedgerPointSalesVec()
+        .WithLabel(PricePointLabel(inverse_ncp))
         .Increment(sales);
   }
   return ledger;

@@ -108,7 +108,6 @@ StatusOr<SimulationResult> SimulateMarket(
     if (!outcome.bought) {
       continue;
     }
-    broker.RecordSale(outcome.purchase);
     TransactionsCounter().Increment();
     affordable_mass += buyers[static_cast<size_t>(i)].b;
     ++result.transactions;

@@ -73,8 +73,8 @@ Status CheckOffered(const std::map<ml::ModelKind, Broker>& brokers,
   return OkStatus();
 }
 
-// Mirrors the invariants Ledger::ApplyRecovered and the monitor/broker
-// restore hooks enforce, so every checkable failure mode surfaces while
+// Mirrors the invariants Ledger::ApplyRecovered and the monitor restore
+// hook enforce, so every checkable failure mode surfaces while
 // the candidate can still be rejected cleanly.
 Status ValidateTailEntry(const LedgerEntry& entry, int64_t expected_sequence) {
   if (entry.sequence != expected_sequence) {
@@ -194,16 +194,6 @@ StatusOr<RestoreCandidate> BuildCandidate(
       }
     }
   }
-  for (const auto& [kind, broker_state] : candidate.state.brokers) {
-    NIMBUS_RETURN_IF_ERROR(CheckOffered(brokers, kind, "snapshot broker"));
-    if (broker_state.sales_count < 0 ||
-        !std::isfinite(broker_state.revenue_collected) ||
-        broker_state.revenue_collected < 0.0) {
-      return InternalError("snapshot broker counters for model '" +
-                           std::string(ml::ModelKindToString(kind)) +
-                           "' fail field validation");
-    }
-  }
   for (const auto& [kind, revenue] : candidate.state.revenue_by_model) {
     (void)revenue;
     NIMBUS_RETURN_IF_ERROR(
@@ -317,7 +307,7 @@ StatusOr<Broker::Purchase> Marketplace::Buy(
   NIMBUS_ASSIGN_OR_RETURN(Broker * broker, BrokerFor(kind));
   NIMBUS_ASSIGN_OR_RETURN(
       Broker::Purchase purchase,
-      broker->PickAtInverseNcp(inverse_ncp, report_loss_name));
+      broker->BuyAtInverseNcp(inverse_ncp, report_loss_name));
   NIMBUS_RETURN_IF_ERROR(
       BookSale(buyer_id, kind, purchase, /*trace=*/nullptr).status());
   return purchase;
@@ -332,7 +322,7 @@ StatusOr<Broker::Purchase> Marketplace::BuyWithPriceBudget(
   NIMBUS_ASSIGN_OR_RETURN(Broker * broker, BrokerFor(kind));
   NIMBUS_ASSIGN_OR_RETURN(
       Broker::Purchase purchase,
-      broker->PickWithPriceBudget(price_budget, report_loss_name));
+      broker->BuyWithPriceBudget(price_budget, report_loss_name));
   NIMBUS_RETURN_IF_ERROR(
       BookSale(buyer_id, kind, purchase, /*trace=*/nullptr).status());
   return purchase;
@@ -366,12 +356,7 @@ StatusOr<int64_t> Marketplace::BookSale(const std::string& buyer_id,
 
 Status Marketplace::CountSale(const std::string& buyer_id, ml::ModelKind kind,
                               double inverse_ncp, double price) {
-  NIMBUS_RETURN_IF_ERROR(
-      monitors_.at(kind).RecordPurchase(buyer_id, inverse_ncp, price));
-  Broker::Purchase sale;
-  sale.price = price;  // All RecordSale counts.
-  brokers_.at(kind).RecordSale(sale);
-  return OkStatus();
+  return monitors_.at(kind).RecordPurchase(buyer_id, inverse_ncp, price);
 }
 
 Status Marketplace::FlushJournal() { return ledger_.FlushJournal(); }
@@ -438,14 +423,6 @@ StatusOr<snapshot::State> Marketplace::CaptureSnapshotState() {
       buyer_state.total_paid = history.total_paid;
     }
   }
-  for (const auto& [kind, broker] : brokers_) {
-    if (broker.sales_count() == 0 && broker.revenue_collected() == 0.0) {
-      continue;
-    }
-    snapshot::BrokerState& broker_state = state.brokers[kind];
-    broker_state.sales_count = broker.sales_count();
-    broker_state.revenue_collected = broker.revenue_collected();
-  }
   state.entries = ledger_.entries();
   state.entries_loaded = true;
   return state;
@@ -498,7 +475,7 @@ Status Marketplace::RestoreFromCheckpoint(const std::string& path,
   // Applies a fully validated candidate. All checkable failure modes
   // were rejected by BuildCandidate, so a failure here is an internal
   // inconsistency and aborts the restore rather than trying a deeper
-  // rung against half-mutated monitors/brokers.
+  // rung against half-mutated monitors.
   const auto apply = [&](RestoreCandidate candidate,
                          const std::string& snapshot_file) -> Status {
     Ledger::EntryLoader loader;
@@ -533,10 +510,6 @@ Status Marketplace::RestoreFromCheckpoint(const std::string& path,
         NIMBUS_RETURN_IF_ERROR(
             monitor.RestoreHistory(buyer, restored_history));
       }
-    }
-    for (const auto& [kind, broker_state] : candidate.state.brokers) {
-      NIMBUS_RETURN_IF_ERROR(brokers_.at(kind).RestoreSaleCounters(
-          broker_state.sales_count, broker_state.revenue_collected));
     }
     for (const LedgerEntry& entry : candidate.tail) {
       NIMBUS_RETURN_IF_ERROR(restored.ApplyRecovered(entry));
@@ -597,9 +570,8 @@ Status Marketplace::RestoreFromCheckpoint(const std::string& path,
         CheckOffered(brokers_, entries[i].model, "journal"));
   }
   NIMBUS_ASSIGN_OR_RETURN(Ledger replayed, Ledger::FromEntries(entries));
-  // Rebuild the collusion-monitor histories and broker revenue counters
-  // so the restarted process reports the same totals and assessments as
-  // the one that crashed.
+  // Rebuild the collusion-monitor histories so the restarted process
+  // reports the same assessments as the one that crashed.
   for (const LedgerEntry& entry : entries) {
     NIMBUS_RETURN_IF_ERROR(CountSale(entry.buyer_id, entry.model,
                                      entry.inverse_ncp, entry.price));

@@ -66,16 +66,15 @@ class Marketplace {
                                  ml::ModelKind kind, double inverse_ncp,
                                  const std::string& report_loss_name);
 
-  // Attributed price-budget purchase (Broker::BuyWithPriceBudget with
-  // ledger/monitor recording).
+  // Attributed price-budget purchase (Broker::BuyWithPriceBudget, booked
+  // like Buy).
   StatusOr<Broker::Purchase> BuyWithPriceBudget(
       const std::string& buyer_id, ml::ModelKind kind, double price_budget,
       const std::string& report_loss_name);
 
   // Books a quote produced by Broker::QuoteAtInverseNcp: journals and
   // records the ledger entry, then updates the offering's collusion
-  // monitor and the broker's revenue counters, and returns the ledger
-  // sequence. This is the commit half of the serving layer's
+  // monitor, and returns the ledger sequence. This is the commit half of the serving layer's
   // quote/commit split — quotes run concurrently, commits are
   // serialized by the caller (the service's sequencer). Safe to retry
   // after a kInternal journal failure: Ledger::Record leaves memory
@@ -149,7 +148,7 @@ class Marketplace {
   // CRCs), collect the journal tail [snapshot.sequence, end) from the
   // live segment (and the `.prev` segment left by a rotation crash
   // window), and verify the tail is gap-free; the first generation that
-  // passes is applied — aggregates and monitor/broker counters install
+  // passes is applied — aggregates and monitor histories install
   // directly from the snapshot, only the tail replays through the
   // ledger. A torn or corrupt snapshot falls back to the previous
   // generation, and when no generation is usable, to a full replay of
@@ -205,14 +204,14 @@ class Marketplace {
 
  private:
   // Books one sale for `kind`, in the order every sale entry point
-  // shares: ledger (journaled), then collusion monitor and broker
-  // counters, then the cadence checkpoint. A sale the ledger refuses is
-  // counted nowhere. Returns the ledger sequence.
+  // shares: ledger (journaled), then collusion monitor, then the cadence
+  // checkpoint. A sale the ledger refuses is counted nowhere. Returns the
+  // ledger sequence.
   StatusOr<int64_t> BookSale(const std::string& buyer_id, ml::ModelKind kind,
                              const Broker::Purchase& purchase,
                              const telemetry::TraceContext* trace);
   // Counts a sale the ledger already holds in the offering's collusion
-  // monitor and broker counters (booking and journal replay).
+  // monitor (booking and journal replay).
   Status CountSale(const std::string& buyer_id, ml::ModelKind kind,
                    double inverse_ncp, double price);
 

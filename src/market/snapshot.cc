@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -21,7 +23,7 @@ namespace {
 
 constexpr char kMagic[8] = {'N', 'I', 'M', 'B', 'U', 'S', 'S', '1'};
 constexpr char kManifestMagic[] = "NIMBUSM1";
-constexpr uint32_t kFormatVersion = 1;
+constexpr uint32_t kFormatVersion = 2;
 constexpr size_t kSectionHeaderBytes = 20;  // tag + flags + len + crc.
 
 constexpr uint32_t FourCc(char a, char b, char c, char d) {
@@ -34,15 +36,19 @@ constexpr uint32_t FourCc(char a, char b, char c, char d) {
 constexpr uint32_t kTagMeta = FourCc('M', 'E', 'T', 'A');
 constexpr uint32_t kTagAggr = FourCc('A', 'G', 'G', 'R');
 constexpr uint32_t kTagColl = FourCc('C', 'O', 'L', 'L');
-constexpr uint32_t kTagBrkr = FourCc('B', 'R', 'K', 'R');
 constexpr uint32_t kTagLedg = FourCc('L', 'E', 'D', 'G');
 constexpr uint32_t kTagFoot = FourCc('F', 'O', 'O', 'T');
 
 // The body sections, in required file order (FOOT follows, indexing
 // exactly these).
-constexpr uint32_t kBodyTags[] = {kTagMeta, kTagAggr, kTagColl, kTagBrkr,
-                                  kTagLedg};
-constexpr size_t kBodySections = sizeof(kBodyTags) / sizeof(kBodyTags[0]);
+constexpr uint32_t kBodyTags[] = {kTagMeta, kTagAggr, kTagColl, kTagLedg};
+
+// Version-1 read rule: those files also carry BRKR (the retired broker
+// sale counters) before LEDG. Read CRC-checks its payload and drops it.
+constexpr uint32_t kTagBrkr = FourCc('B', 'R', 'K', 'R');
+constexpr uint32_t kBodyTagsV1[] = {kTagMeta, kTagAggr, kTagColl, kTagBrkr,
+                                    kTagLedg};
+constexpr size_t kMaxBodySections = std::size(kBodyTagsV1);
 
 void AppendRaw(std::string& out, const void* data, size_t size) {
   out.append(static_cast<const char*>(data), size);
@@ -105,7 +111,7 @@ std::string EncodeMeta(const State& state) {
 }
 
 Status DecodeMeta(const std::string& path, const std::string& payload,
-                  State* state) {
+                  State* state, uint32_t* version_out) {
   size_t offset = 0;
   uint32_t version = 0;
   if (!ReadScalar(payload, offset, &version) ||
@@ -114,13 +120,14 @@ Status DecodeMeta(const std::string& path, const std::string& payload,
       offset != payload.size()) {
     return CorruptError(path, "undecodable META section");
   }
-  if (version != kFormatVersion) {
+  if (version != 1 && version != kFormatVersion) {
     return CorruptError(path,
                         "unsupported format version " + std::to_string(version));
   }
   if (state->generation < 0 || state->sequence < 0) {
     return CorruptError(path, "negative generation or sequence");
   }
+  *version_out = version;
   return OkStatus();
 }
 
@@ -259,41 +266,6 @@ Status DecodeColl(const std::string& path, const std::string& payload,
   }
   if (offset != payload.size()) {
     return CorruptError(path, "trailing bytes in COLL section");
-  }
-  return OkStatus();
-}
-
-std::string EncodeBrkr(const State& state) {
-  std::string out;
-  AppendScalar(out, static_cast<uint32_t>(state.brokers.size()));
-  for (const auto& [kind, broker] : state.brokers) {
-    AppendScalar(out, static_cast<uint8_t>(kind));
-    AppendScalar(out, broker.sales_count);
-    AppendScalar(out, broker.revenue_collected);
-  }
-  return out;
-}
-
-Status DecodeBrkr(const std::string& path, const std::string& payload,
-                  State* state) {
-  size_t offset = 0;
-  uint32_t n = 0;
-  if (!ReadScalar(payload, offset, &n)) {
-    return CorruptError(path, "undecodable BRKR section");
-  }
-  for (uint32_t i = 0; i < n; ++i) {
-    uint8_t kind = 0;
-    BrokerState broker;
-    if (!ReadScalar(payload, offset, &kind) ||
-        !ReadScalar(payload, offset, &broker.sales_count) ||
-        !ReadScalar(payload, offset, &broker.revenue_collected)) {
-      return CorruptError(path, "undecodable BRKR counters");
-    }
-    NIMBUS_ASSIGN_OR_RETURN(const ml::ModelKind model, DecodeModelKind(kind));
-    state->brokers[model] = broker;
-  }
-  if (offset != payload.size()) {
-    return CorruptError(path, "trailing bytes in BRKR section");
   }
   return OkStatus();
 }
@@ -470,7 +442,7 @@ StatusOr<int64_t> Write(const std::string& path, const State& state) {
   std::string image;
   AppendRaw(image, kMagic, sizeof(kMagic));
   std::string footer;
-  AppendScalar(footer, static_cast<uint32_t>(kBodySections));
+  AppendScalar(footer, static_cast<uint32_t>(std::size(kBodyTags)));
   for (const uint32_t tag : kBodyTags) {
     std::string payload;
     switch (tag) {
@@ -482,9 +454,6 @@ StatusOr<int64_t> Write(const std::string& path, const State& state) {
         break;
       case kTagColl:
         payload = EncodeColl(state);
-        break;
-      case kTagBrkr:
-        payload = EncodeBrkr(state);
         break;
       case kTagLedg:
         payload = EncodeLedg(state);
@@ -510,12 +479,14 @@ StatusOr<State> Read(const std::string& path, ReadOptions options) {
   State state;
   size_t offset = sizeof(kMagic);
   size_t body_index = 0;
+  // META comes first in every version; decoding it selects the layout.
+  std::span<const uint32_t> body_tags = kBodyTags;
   // Observed headers of the body sections, cross-checked against FOOT.
   struct Observed {
     uint64_t offset = 0;
     SectionHeader header;
   };
-  Observed observed[kBodySections];
+  Observed observed[kMaxBodySections];
   std::string ledg_payload;
   bool saw_footer = false;
   while (offset < bytes.size()) {
@@ -536,7 +507,7 @@ StatusOr<State> Read(const std::string& path, ReadOptions options) {
                                     std::to_string(section_offset));
     }
     if (header.tag == kTagFoot) {
-      if (body_index != kBodySections) {
+      if (body_index != body_tags.size()) {
         return CorruptError(path, "footer before all body sections");
       }
       const std::string payload =
@@ -549,10 +520,10 @@ StatusOr<State> Read(const std::string& path, ReadOptions options) {
       size_t cursor = 0;
       uint32_t n_sections = 0;
       if (!ReadScalar(payload, cursor, &n_sections) ||
-          n_sections != kBodySections) {
+          n_sections != body_tags.size()) {
         return CorruptError(path, "footer section count mismatch");
       }
-      for (size_t i = 0; i < kBodySections; ++i) {
+      for (size_t i = 0; i < body_tags.size(); ++i) {
         uint32_t tag = 0;
         uint64_t section_off = 0;
         uint64_t len = 0;
@@ -582,7 +553,7 @@ StatusOr<State> Read(const std::string& path, ReadOptions options) {
     if (saw_footer) {
       return CorruptError(path, "section after footer");
     }
-    if (body_index >= kBodySections || header.tag != kBodyTags[body_index]) {
+    if (body_index >= body_tags.size() || header.tag != body_tags[body_index]) {
       return CorruptError(path, "unexpected section order");
     }
     observed[body_index] = Observed{section_offset, header};
@@ -602,17 +573,21 @@ StatusOr<State> Read(const std::string& path, ReadOptions options) {
                                     std::to_string(section_offset));
     }
     switch (header.tag) {
-      case kTagMeta:
-        NIMBUS_RETURN_IF_ERROR(DecodeMeta(path, payload, &state));
+      case kTagMeta: {
+        uint32_t version = 0;
+        NIMBUS_RETURN_IF_ERROR(DecodeMeta(path, payload, &state, &version));
+        if (version == 1) {
+          body_tags = kBodyTagsV1;
+        }
         break;
+      }
       case kTagAggr:
         NIMBUS_RETURN_IF_ERROR(DecodeAggr(path, payload, &state));
         break;
       case kTagColl:
         NIMBUS_RETURN_IF_ERROR(DecodeColl(path, payload, &state));
         break;
-      case kTagBrkr:
-        NIMBUS_RETURN_IF_ERROR(DecodeBrkr(path, payload, &state));
+      case kTagBrkr:  // Version 1 only: CRC-checked above, then dropped.
         break;
       case kTagLedg:
         ledg_payload = payload;

@@ -20,7 +20,7 @@ namespace nimbus::market::snapshot {
 //
 //   u32 tag | u32 flags | u64 payload_len | u32 crc32(payload) | payload
 //
-// in fixed order META, AGGR, COLL, BRKR, LEDG, FOOT. The FOOT section is
+// in fixed order META, AGGR, COLL, LEDG, FOOT. The FOOT section is
 // a table of (tag, offset, len, crc) for every preceding section, so a
 // reader can structurally validate the whole file — including the large
 // LEDG entry log — by walking headers and cross-checking the footer
@@ -38,6 +38,13 @@ namespace nimbus::market::snapshot {
 // ("NIMBUSM1", CRC-trailered, also written atomically); when the
 // manifest is stale or lost, ListGenerations falls back to a directory
 // scan of `<journal>.snap.NNNNNN` files.
+//
+// META carries the format version. Writers emit version 2. Version-1
+// files carry one more section, BRKR (the retired per-broker sale
+// counters), between COLL and LEDG; Read still accepts them — the BRKR
+// payload is CRC-checked like any other section and then dropped — so a
+// journal directory checkpointed before the change keeps its snapshot
+// rungs.
 
 // Per-buyer collusion-monitor history (mirror of CollusionMonitor's
 // internal accumulator, restored bit-identically).
@@ -50,12 +57,6 @@ struct BuyerHistoryState {
 // One offering's monitor state: buyer id -> history.
 struct MonitorState {
   std::map<std::string, BuyerHistoryState> buyers;
-};
-
-// One offering's broker sale counters.
-struct BrokerState {
-  int64_t sales_count = 0;
-  double revenue_collected = 0.0;
 };
 
 // Everything a marketplace needs to resume revenue accounting, audit
@@ -72,9 +73,8 @@ struct State {
   std::map<double, int64_t> sales_per_price_point;
   std::map<ml::ModelKind, double> revenue_by_model;
   std::map<ml::ModelKind, int64_t> sales_by_model;
-  // Per-offering collusion-monitor histories and broker counters.
+  // Per-offering collusion-monitor histories.
   std::map<ml::ModelKind, MonitorState> monitors;
-  std::map<ml::ModelKind, BrokerState> brokers;
   // Full entry log (LEDG section). Loaded only under
   // ReadOptions::load_entries; `entries_loaded` distinguishes a shallow
   // read from a snapshot that genuinely covers zero entries.

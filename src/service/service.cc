@@ -99,6 +99,35 @@ uint64_t Fnv64(const std::string& key) {
   return h;
 }
 
+// A quote attempt's preamble, shared by the batched first attempt and
+// the retry loop: the 'service.execute' fault, then the quote breaker.
+Status AdmitQuoteAttempt(CircuitBreaker& breaker, telemetry::TraceSpan& span) {
+  if (fault::Check("service.execute").fire) {
+    span.Annotate("fault:service.execute");
+    return InternalError("fault injected at 'service.execute'");
+  }
+  if (Status allowed = breaker.Allow(); !allowed.ok()) {
+    span.Annotate("breaker-open");
+    return allowed;
+  }
+  return OkStatus();
+}
+
+// Settles one downstream outcome on its breaker. kInternal is downstream
+// sickness (an injected one is annotated `fault_note` on the span); OK
+// or a caller error means the downstream answered.
+void SettleBreaker(CircuitBreaker& breaker, const Status& status,
+                   telemetry::TraceSpan& span, const char* fault_note) {
+  if (status.code() != StatusCode::kInternal) {
+    breaker.RecordSuccess();
+    return;
+  }
+  breaker.RecordFailure();
+  if (status.message().find("fault injected") != std::string::npos) {
+    span.Annotate(fault_note);
+  }
+}
+
 }  // namespace
 
 MarketService::MarketService(market::Catalog* catalog, ServiceOptions options)
@@ -364,35 +393,19 @@ void MarketService::RunQuoteRetries(const Item& item, PurchaseResult& result,
     // One child span per attempt, so a retried request shows each try —
     // and why it failed — as a sibling under the request's root span.
     telemetry::TraceSpan span("service.quote.attempt", &item.trace);
-    if (fault::Check("service.execute").fire) {
-      span.Annotate("fault:service.execute");
-      return InternalError("fault injected at 'service.execute'");
-    }
-    if (Status allowed = lane.quote_breaker->Allow(); !allowed.ok()) {
-      span.Annotate("breaker-open");
-      return allowed;
-    }
+    NIMBUS_RETURN_IF_ERROR(AdmitQuoteAttempt(*lane.quote_breaker, span));
     // A fresh fork per attempt: a retried quote redraws the exact same
     // noise, so retries cannot perturb the ledger bytes.
     Rng rng = lane.base_rng.Fork(StreamId(item.ticket, kQuoteStream));
     StatusOr<market::Broker::Purchase> quote = broker->QuoteAtInverseNcp(
         item.request.inverse_ncp, curve, rng, &span.context());
-    if (quote.ok()) {
-      lane.quote_breaker->RecordSuccess();
-      result.purchase = std::move(*quote);
-      return OkStatus();
+    SettleBreaker(*lane.quote_breaker, quote.status(), span,
+                  "fault:broker.quote");
+    if (!quote.ok()) {
+      return quote.status();
     }
-    if (quote.status().code() == StatusCode::kInternal) {
-      lane.quote_breaker->RecordFailure();
-      if (quote.status().message().find("fault injected") !=
-          std::string::npos) {
-        span.Annotate("fault:broker.quote");
-      }
-    } else {
-      // The downstream answered; a caller error is not broker sickness.
-      lane.quote_breaker->RecordSuccess();
-    }
-    return quote.status();
+    result.purchase = std::move(*quote);
+    return OkStatus();
   };
   result.status = RetryWithBackoff(
       options_.quote_retry,
@@ -457,14 +470,8 @@ void MarketService::ExecuteQuoteBatch(std::vector<Item>& items,
     quoted.reserve(end - begin);
     rngs.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) {
-      if (fault::Check("service.execute").fire) {
-        span.Annotate("fault:service.execute");
-        results[i].status = InternalError("fault injected at 'service.execute'");
-        continue;
-      }
-      if (Status allowed = lane.quote_breaker->Allow(); !allowed.ok()) {
-        span.Annotate("breaker-open");
-        results[i].status = std::move(allowed);
+      results[i].status = AdmitQuoteAttempt(*lane.quote_breaker, span);
+      if (!results[i].status.ok()) {
         continue;
       }
       quoted.push_back(i);
@@ -483,24 +490,16 @@ void MarketService::ExecuteQuoteBatch(std::vector<Item>& items,
                                         &span.context());
       for (size_t j = 0; j < quoted.size(); ++j) {
         const size_t i = quoted[j];
-        if (outcomes[j].ok()) {
-          lane.quote_breaker->RecordSuccess();
-          results[i].purchase = std::move(*outcomes[j]);
-          results[i].status = OkStatus();
-          results[i].quote_attempts = 1;
-          targets[i].pending = false;
+        SettleBreaker(*lane.quote_breaker, outcomes[j].status(), span,
+                      "fault:broker.quote");
+        if (!outcomes[j].ok()) {
+          results[i].status = outcomes[j].status();
           continue;
         }
-        if (outcomes[j].status().code() == StatusCode::kInternal) {
-          lane.quote_breaker->RecordFailure();
-          if (outcomes[j].status().message().find("fault injected") !=
-              std::string::npos) {
-            span.Annotate("fault:broker.quote");
-          }
-        } else {
-          lane.quote_breaker->RecordSuccess();
-        }
-        results[i].status = outcomes[j].status();
+        results[i].purchase = std::move(*outcomes[j]);
+        results[i].status = OkStatus();
+        results[i].quote_attempts = 1;
+        targets[i].pending = false;
       }
     }
     begin = end;
@@ -532,21 +531,13 @@ void MarketService::CommitOne(Item& item, PurchaseResult& result) {
       StatusOr<int64_t> sequence = item.market->RecordQuotedSale(
           item.request.buyer_id, item.request.model, result.purchase,
           &span.context());
-      if (sequence.ok()) {
-        lane.journal_breaker->RecordSuccess();
-        result.sequence = *sequence;
-        return OkStatus();
+      SettleBreaker(*lane.journal_breaker, sequence.status(), span,
+                    "fault:journal.append");
+      if (!sequence.ok()) {
+        return sequence.status();
       }
-      if (sequence.status().code() == StatusCode::kInternal) {
-        lane.journal_breaker->RecordFailure();
-        if (sequence.status().message().find("fault injected") !=
-            std::string::npos) {
-          span.Annotate("fault:journal.append");
-        }
-      } else {
-        lane.journal_breaker->RecordSuccess();
-      }
-      return sequence.status();
+      result.sequence = *sequence;
+      return OkStatus();
     };
     // Deliberately NOT bounded by the request deadline: once the quote
     // succeeded the commit must land or fail on its own merits —

@@ -105,7 +105,7 @@ TEST(BrokerTest, PriceErrorCurveReflectsPricingFunction) {
   }
 }
 
-TEST(BrokerTest, BuyAtInverseNcpAccountsRevenue) {
+TEST(BrokerTest, BuyAtInverseNcpPricesTheVersion) {
   StatusOr<Broker> broker = MakeBroker();
   ASSERT_TRUE(broker.ok());
   broker->SetPricingFunction(std::make_shared<pricing::LinearPricing>(
@@ -116,8 +116,6 @@ TEST(BrokerTest, BuyAtInverseNcpAccountsRevenue) {
   EXPECT_DOUBLE_EQ(purchase->price, 20.0);
   EXPECT_DOUBLE_EQ(purchase->ncp, 0.1);
   EXPECT_EQ(purchase->model.size(), 5u);
-  EXPECT_DOUBLE_EQ(broker->revenue_collected(), 20.0);
-  EXPECT_EQ(broker->sales_count(), 1);
   // Out-of-range versions are rejected.
   EXPECT_EQ(broker->BuyAtInverseNcp(1000.0, "squared").status().code(),
             StatusCode::kOutOfRange);

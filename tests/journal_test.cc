@@ -1,5 +1,6 @@
 #include "market/journal.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -15,6 +16,7 @@
 
 #include "common/fault.h"
 #include "common/random.h"
+#include "common/telemetry.h"
 #include "data/synthetic.h"
 #include "market/curves.h"
 #include "market/ledger.h"
@@ -25,8 +27,8 @@ namespace nimbus::market {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  // Process-unique so the plain and _tsan ctest registrations of this
-  // binary can run concurrently without clobbering each other's files.
+  // Process-unique so concurrent runs of this binary never clobber each
+  // other's files.
   return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
 }
 
@@ -561,6 +563,8 @@ TEST(MarketplaceJournalTest, JournalingIsObservationOnlyAndRestores) {
   const double pre_crash_revenue = journaled.total_revenue();
   const std::string pre_crash_csv = journaled.ledger().ToCsv();
   const auto pre_crash_sales = journaled.ledger().SalesPerPricePoint();
+  const double journaled_svm_revenue =
+      journaled.ledger().RevenueForModel(ml::ModelKind::kLinearSvm);
   { Marketplace dropped = std::move(journaled); }
 
   Marketplace restored = MakeMarket(7);
@@ -578,12 +582,15 @@ TEST(MarketplaceJournalTest, JournalingIsObservationOnlyAndRestores) {
   ASSERT_TRUE(assessment.ok());
   EXPECT_EQ(assessment->purchases, 4);
 
-  // The brokers' revenue counters agree with the recovered ledger.
-  StatusOr<Broker*> svm = restored.BrokerFor(ml::ModelKind::kLinearSvm);
-  ASSERT_TRUE(svm.ok());
-  EXPECT_EQ((*svm)->revenue_collected(),
-            restored.ledger().RevenueForModel(ml::ModelKind::kLinearSvm));
-  EXPECT_EQ((*svm)->sales_count(), 2);
+  // The per-offering books were recovered with the ledger.
+  EXPECT_EQ(restored.ledger().RevenueForModel(ml::ModelKind::kLinearSvm),
+            journaled_svm_revenue);
+  EXPECT_EQ(std::count_if(restored.ledger().entries().begin(),
+                          restored.ledger().entries().end(),
+                          [](const LedgerEntry& entry) {
+                            return entry.model == ml::ModelKind::kLinearSvm;
+                          }),
+            2);
 
   // New sales append after the recovered prefix with continuous
   // sequence numbers, and survive another recovery ("crash" again by
@@ -630,14 +637,21 @@ TEST(MarketplaceJournalTest, RestoreRejectsUnknownOfferingsAndNonEmptyState) {
 }
 
 // A sale the journal refuses is booked nowhere: not in the ledger, not
-// in the collusion monitor, and not in the broker's sale counters (which
-// the next snapshot would otherwise carry one sale ahead of the ledger).
-TEST(MarketplaceJournalTest, FailedAppendLeavesBrokerCountersUntouched) {
+// in the collusion monitor (which the next snapshot would otherwise carry
+// one sale ahead of the ledger), and not in ledger_sales_total.
+TEST(MarketplaceJournalTest, FailedAppendLeavesLedgerAndMonitorUntouched) {
   const std::string path = TempPath("nimbus_marketplace_refused.waj");
   std::remove(path.c_str());
   Marketplace market = MakeMarket(11);
   ASSERT_TRUE(market.EnableJournal(path).ok());
-  Broker* broker = *market.BrokerFor(ml::ModelKind::kLinearSvm);
+  telemetry::Counter& svm_sales =
+      telemetry::Registry::Global()
+          .GetCounterVec("ledger_sales_total", "offering")
+          .WithLabel(std::string(
+              ml::ModelKindToString(ml::ModelKind::kLinearSvm)));
+  const int64_t sales_before = svm_sales.Value();
+  const CollusionMonitor* monitor =
+      *market.MonitorFor(ml::ModelKind::kLinearSvm);
 
   fault::Reset();
   ASSERT_TRUE(fault::Configure("journal.append:1:2").ok());
@@ -653,17 +667,17 @@ TEST(MarketplaceJournalTest, FailedAppendLeavesBrokerCountersUntouched) {
             StatusCode::kInternal);
   fault::Reset();
   EXPECT_EQ(market.ledger().size(), 0);
-  EXPECT_EQ(broker->sales_count(), 0);
-  EXPECT_EQ(broker->revenue_collected(), 0.0);
-  EXPECT_EQ((*market.MonitorFor(ml::ModelKind::kLinearSvm))->history().size(),
-            0u);
+  EXPECT_EQ(market.total_revenue(), 0.0);
+  EXPECT_EQ(monitor->history().size(), 0u);
+  EXPECT_EQ(svm_sales.Value(), sales_before);
 
   // The next accepted sale is counted exactly once everywhere.
   ASSERT_TRUE(
       market.Buy("carol", ml::ModelKind::kLinearSvm, 5.0, "zero_one").ok());
   EXPECT_EQ(market.ledger().size(), 1);
-  EXPECT_EQ(broker->sales_count(), 1);
-  EXPECT_EQ(broker->revenue_collected(), market.total_revenue());
+  EXPECT_EQ(monitor->history().at("carol").purchases, 1);
+  EXPECT_EQ(monitor->history().at("carol").total_paid, market.total_revenue());
+  EXPECT_EQ(svm_sales.Value(), sales_before + 1);
   std::remove(path.c_str());
 }
 

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -75,7 +76,10 @@ TEST(LedgerTest, RecordAndQueries) {
   auto& revenue_vec = registry.GetGaugeVec("ledger_revenue_total", "offering");
   EXPECT_DOUBLE_EQ(revenue_vec.WithLabel(svm).Value(), 65.0);
   EXPECT_DOUBLE_EQ(revenue_vec.WithLabel(logistic).Value(), 10.0);
-  EXPECT_EQ(registry.GetCounter("ledger_sales_point_4").Value(), 2);
+  EXPECT_EQ(registry.GetCounterVec("ledger_point_sales_total", "inverse_ncp")
+                .WithLabel("4")
+                .Value(),
+            2);
   EXPECT_DOUBLE_EQ(ledger.RevenueForModel(ml::ModelKind::kLinearSvm), 65.0);
   EXPECT_DOUBLE_EQ(
       ledger.RevenueForModel(ml::ModelKind::kLinearRegression), 0.0);
@@ -97,6 +101,45 @@ TEST(LedgerTest, RecordAndQueries) {
   const std::string csv = ledger.ToCsv();
   EXPECT_NE(csv.find("alice,logistic_regression,2,10,0.1"),
             std::string::npos);
+}
+
+// Buyers choose any version in range, so per-price-point sales must not
+// mint a metric per distinct inverse-NCP: the registry (and every
+// /metrics scrape) stays bounded however many versions are sold.
+TEST(LedgerTest, DistinctPricePointsDoNotGrowTheRegistry) {
+  auto& registry = telemetry::Registry::Global();
+  // Total series across the snapshot, and the sales the per-point family
+  // has counted.
+  const auto tally = [](const auto& snapshot) {
+    size_t series = 0;
+    int64_t point_sales = 0;
+    for (const auto& entry : snapshot) {
+      series += entry.series.empty() ? 1 : entry.series.size();
+      if (entry.name == "ledger_point_sales_total") {
+        for (const auto& labeled : entry.series) {
+          point_sales += labeled.counter_value;
+        }
+      }
+    }
+    return std::make_pair(series, point_sales);
+  };
+  Ledger ledger;
+  // One sale first, so the ledger's families are registered before the
+  // baseline is taken.
+  ASSERT_TRUE(ledger.Record("alice", ml::ModelKind::kLinearSvm, 1.0, 1.0, 0.1)
+                  .ok());
+  const auto before = registry.Snapshot();
+  for (int i = 1; i <= 1000; ++i) {
+    ASSERT_TRUE(ledger.Record("alice", ml::ModelKind::kLinearSvm,
+                              1.0 + 0.001 * i, 1.0, 0.1)
+                    .ok());
+  }
+  const auto after = registry.Snapshot();
+  EXPECT_EQ(after.size(), before.size());
+  EXPECT_LE(tally(after).first,
+            tally(before).first + telemetry::CounterVec::kMaxSeries + 1);
+  // Every sale is still counted: the overflow series absorbs the rest.
+  EXPECT_EQ(tally(after).second - tally(before).second, 1000);
 }
 
 TEST(LedgerTest, Validation) {

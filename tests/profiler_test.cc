@@ -106,7 +106,7 @@ TEST(CpuProfilerTest, OverheadStaysUnderTwoPercent) {
 }
 
 TEST(CpuProfilerTest, ConcurrentStartScrapeStopIsSafe) {
-  // Race certification (run under TSan as profiler_test_tsan): readers
+  // Race certification (in a TSan tree, profiler_test runs under it): readers
   // fold mid-window while two control threads fight over Start/Stop and
   // a spinner keeps SIGPROF firing. No assertion beyond "no crash, no
   // race" — the interleaving is nondeterministic by design.

@@ -61,9 +61,6 @@ snapshot::State SampleState() {
   monitor.buyers["alice"] = snapshot::BuyerHistoryState{2, 4.0, 22.0};
   monitor.buyers["bob,\"evil\"\nid"] =
       snapshot::BuyerHistoryState{2, 8.0, 35.75};
-  state.brokers[ml::ModelKind::kLogisticRegression] =
-      snapshot::BrokerState{2, 22.0};
-  state.brokers[ml::ModelKind::kLinearSvm] = snapshot::BrokerState{2, 35.75};
   for (int i = 0; i < 4; ++i) {
     LedgerEntry entry;
     entry.sequence = i;
@@ -101,13 +98,54 @@ void ExpectSameAggregates(const snapshot::State& a, const snapshot::State& b) {
       EXPECT_EQ(history.total_paid, buyer_it->second.total_paid);
     }
   }
-  ASSERT_EQ(a.brokers.size(), b.brokers.size());
-  for (const auto& [kind, broker] : a.brokers) {
-    const auto it = b.brokers.find(kind);
-    ASSERT_NE(it, b.brokers.end());
-    EXPECT_EQ(broker.sales_count, it->second.sales_count);
-    EXPECT_EQ(broker.revenue_collected, it->second.revenue_collected);
+}
+
+void ExpectSameEntries(const std::vector<LedgerEntry>& a,
+                       const std::vector<LedgerEntry>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].sequence, b[i].sequence);
+    EXPECT_EQ(a[i].buyer_id, b[i].buyer_id);
+    EXPECT_EQ(a[i].model, b[i].model);
+    EXPECT_EQ(a[i].inverse_ncp, b[i].inverse_ncp);
+    EXPECT_EQ(a[i].price, b[i].price);
+    EXPECT_EQ(a[i].expected_error, b[i].expected_error);
   }
+}
+
+// A version-1 image: SampleState() as written by the format before the
+// BRKR section was retired (META, AGGR, COLL, BRKR, LEDG, FOOT), with
+// broker counters {logistic: 2 sales, 22.0; svm: 2 sales, 35.75}.
+std::string VersionOneSampleImage() {
+  const std::string hex =
+      "4e494d42555353314d455441000000001400000000000000c31a30c701000000"
+      "0300000000000000040000000000000041474752000000008600000000000000"
+      "5a04643e0000000000e04c4002000000010000000000003640020000000000e0"
+      "4140020000000102000000000000000202000000000000000200000000000000"
+      "0000004002000000000000000000000000001040020000000000000002000000"
+      "05000000616c69636500000000000036400d000000626f622c226576696c220a"
+      "69640000000000e04140434f4c4c000000004b000000000000006a2d59a50100"
+      "0000010200000005000000616c69636502000000000000000000104000000000"
+      "000036400d000000626f622c226576696c220a69640200000000000000000020"
+      "400000000000e0414042524b520000000026000000000000005b7aa966020000"
+      "0001020000000000000000000000000036400202000000000000000000000000"
+      "e041404c45444700000000d000000000000000e1b4947704000000000000002a"
+      "0000000000000000000000010000000000000040000000000000264000000000"
+      "0000d03f05000000616c69636532000000010000000000000002000000000000"
+      "10400000000000e03140000000000000c03f0d000000626f622c226576696c22"
+      "0a69642a00000002000000000000000100000000000000400000000000002640"
+      "555555555555b53f05000000616c696365320000000300000000000000020000"
+      "0000000010400000000000e03140000000000000b03f0d000000626f622c2265"
+      "76696c220a6964464f4f54000000007c000000000000005e620d7b050000004d"
+      "45544108000000000000001400000000000000c31a30c7414747523000000000"
+      "00000086000000000000005a04643e434f4c4cca000000000000004b00000000"
+      "0000006a2d59a542524b52290100000000000026000000000000005b7aa9664c"
+      "4544476301000000000000d000000000000000e1b49477";
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes += static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16));
+  }
+  return bytes;
 }
 
 TEST(SnapshotTest, WriteReadRoundTripIsBitIdentical) {
@@ -123,16 +161,43 @@ TEST(SnapshotTest, WriteReadRoundTripIsBitIdentical) {
   ASSERT_TRUE(back.ok()) << back.status();
   ExpectSameAggregates(state, *back);
   ASSERT_TRUE(back->entries_loaded);
-  ASSERT_EQ(back->entries.size(), state.entries.size());
-  for (size_t i = 0; i < state.entries.size(); ++i) {
-    EXPECT_EQ(back->entries[i].sequence, state.entries[i].sequence);
-    EXPECT_EQ(back->entries[i].buyer_id, state.entries[i].buyer_id);
-    EXPECT_EQ(back->entries[i].model, state.entries[i].model);
-    EXPECT_EQ(back->entries[i].inverse_ncp, state.entries[i].inverse_ncp);
-    EXPECT_EQ(back->entries[i].price, state.entries[i].price);
-    EXPECT_EQ(back->entries[i].expected_error,
-              state.entries[i].expected_error);
-  }
+  ExpectSameEntries(state.entries, back->entries);
+  std::remove(path.c_str());
+}
+
+// Journal directories checkpointed by the previous format keep their
+// snapshot rungs: a version-1 image still reads, its BRKR section is
+// CRC-checked and dropped, and the rest restores bit-identically.
+TEST(SnapshotTest, ReadsVersionOneImageAndDropsBrokerSection) {
+  const std::string path = TempPath("nimbus_snapshot_v1.snap");
+  const std::string bytes = VersionOneSampleImage();
+  ASSERT_EQ(bytes.size(), 727u);
+  WriteFileBytes(path, bytes);
+
+  const snapshot::State state = SampleState();
+  snapshot::ReadOptions deep;
+  deep.load_entries = true;
+  StatusOr<snapshot::State> back = snapshot::Read(path, deep);
+  ASSERT_TRUE(back.ok()) << back.status();
+  ExpectSameAggregates(state, *back);
+  ExpectSameEntries(state.entries, back->entries);
+  StatusOr<snapshot::State> shallow = snapshot::Read(path);
+  ASSERT_TRUE(shallow.ok()) << shallow.status();
+  EXPECT_EQ(shallow->total_revenue, state.total_revenue);
+
+  // The dropped section is still integrity-checked: a flip in the BRKR
+  // payload rejects the file.
+  const size_t brkr = bytes.find("BRKR");
+  ASSERT_NE(brkr, std::string::npos);
+  std::string corrupted = bytes;
+  const size_t payload = brkr + 20;  // Past tag, flags, length and CRC.
+  corrupted[payload] = static_cast<char>(corrupted[payload] ^ 0x01);
+  WriteFileBytes(path, corrupted);
+  EXPECT_FALSE(snapshot::Read(path).ok());
+
+  // The current writer no longer emits the section.
+  ASSERT_TRUE(snapshot::Write(path, state).ok());
+  EXPECT_EQ(ReadFileBytes(path).find("BRKR"), std::string::npos);
   std::remove(path.c_str());
 }
 

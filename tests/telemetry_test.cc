@@ -547,12 +547,7 @@ TEST(TelemetryThreadingTest, ConcurrentUpdatesAreExact) {
 // counter values, histogram observation counts) must be identical across
 // identical-seed runs.
 
-struct SeededMarketOutcome {
-  market::SimulationResult result;
-  double broker_revenue = 0.0;  // Unweighted sum of sale prices.
-};
-
-SeededMarketOutcome RunSeededMarket() {
+market::SimulationResult RunSeededMarket() {
   Rng rng(11);
   data::RegressionSpec spec;
   spec.num_examples = 200;
@@ -585,7 +580,7 @@ SeededMarketOutcome RunSeededMarket() {
 
   auto result = market::SimulateMarket(*broker, *points, "squared");
   NIMBUS_CHECK(result.ok()) << result.status();
-  return {*result, broker->revenue_collected()};
+  return *result;
 }
 
 // The deterministic projection of a snapshot: everything except
@@ -627,54 +622,39 @@ TEST(TelemetryRegressionTest, InstrumentationIsObservationOnly) {
   Registry::Global().ResetForTest();
   ClearTraceForTest();
   SetTracingEnabled(false);
-  const SeededMarketOutcome baseline = RunSeededMarket();
+  const market::SimulationResult baseline = RunSeededMarket();
   const std::string projection_off =
       DeterministicProjection(Registry::Global().Snapshot());
 
   Registry::Global().ResetForTest();
   ClearTraceForTest();
   SetTracingEnabled(true);
-  const SeededMarketOutcome traced = RunSeededMarket();
+  const market::SimulationResult traced = RunSeededMarket();
   SetTracingEnabled(false);
   const std::string projection_on =
       DeterministicProjection(Registry::Global().Snapshot());
 
   // Bit-identical market output: tracing observes, never perturbs.
-  EXPECT_EQ(baseline.result.revenue, traced.result.revenue);
-  EXPECT_EQ(baseline.result.affordability, traced.result.affordability);
-  EXPECT_EQ(baseline.result.transactions, traced.result.transactions);
-  EXPECT_EQ(baseline.result.mean_delivered_error,
-            traced.result.mean_delivered_error);
-  EXPECT_EQ(baseline.broker_revenue, traced.broker_revenue);
+  EXPECT_EQ(baseline.revenue, traced.revenue);
+  EXPECT_EQ(baseline.affordability, traced.affordability);
+  EXPECT_EQ(baseline.transactions, traced.transactions);
+  EXPECT_EQ(baseline.mean_delivered_error, traced.mean_delivered_error);
 
   // Deterministic snapshot projection identical across runs.
   EXPECT_EQ(projection_off, projection_on);
 
-  // The instrumented hot paths actually fired, and the audit counters
-  // agree with the market outcome.
-  // The broker families are labeled per offering; sum across series.
+  // The instrumented hot paths actually fired. The broker family is
+  // labeled per offering; sum across series.
   const auto snap = Registry::Global().Snapshot();
   int64_t quotes = 0;
-  int64_t sales = 0;
-  double revenue = 0.0;
   for (const Registry::SnapshotEntry& e : snap) {
     if (e.name == "broker_quotes_total") {
       for (const auto& series : e.series) {
         quotes += series.counter_value;
       }
-    } else if (e.name == "broker_sales_total") {
-      for (const auto& series : e.series) {
-        sales += series.counter_value;
-      }
-    } else if (e.name == "broker_revenue_collected") {
-      for (const auto& series : e.series) {
-        revenue += series.gauge_value;
-      }
     }
   }
   EXPECT_GT(quotes, 0);
-  EXPECT_EQ(sales, traced.result.transactions);
-  EXPECT_NEAR(revenue, traced.broker_revenue, 1e-9);
 
   // The trace of the instrumented run contains the expected spans.
   const std::string json = TraceToJson();
