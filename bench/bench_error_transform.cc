@@ -16,10 +16,6 @@
 //                 --threads=1 vs --threads=8 measures the ParallelFor
 //                 speedup of ErrorCurve::Estimate; the curves themselves
 //                 are bit-identical at every thread count.
-//
-// BENCH_parallel.json is regenerated from this flag (see bench/README.md):
-//   build/bench/bench_error_transform --points=100 --samples=2000 --threads=1
-//   build/bench/bench_error_transform --points=100 --samples=2000 --threads=8
 
 #include <chrono>
 #include <cstdio>

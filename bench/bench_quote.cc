@@ -1,28 +1,15 @@
-// Quote hot-path microbenchmark: how fast does the broker answer once
-// the error curve exists, and what do cold builds and batching buy?
-//
-//   cold    — first GetErrorCurve on a fresh broker: the single-flight
-//             Monte-Carlo curve build the cache exists to amortize.
-//   warm    — GetErrorCurve (cache hit) + QuoteAtInverseNcp per call,
-//             the steady-state single-quote serving path.
-//   batched — Broker::QuoteBatch over --batch-sized groups with the
-//             same per-ticket RNG streams, the MarketService fast path.
-//
-// Per-call latencies are measured individually (steady_clock around
-// each call), so the quantiles are honest per-quote numbers, not an
-// average hiding a tail. Flags:
-//   --quotes=N               warm/batched calls to time (default 200000)
-//   --cold-builds=N          fresh-broker cold builds to time (default 10)
-//   --batch=N                QuoteBatch group size (default 16)
+// Warm-quote smoke: how fast does the broker answer once the error
+// curve exists? Each call is a curve-cache hit plus QuoteAtInverseNcp,
+// the steady-state single-quote path, timed individually (steady_clock
+// around each call) so the p50 is an honest per-quote number. Serving
+// throughput and latency are perfbench's to measure; this binary only
+// guards the quote path against regressing onto a per-request curve
+// build or an exclusive lock. Flags:
+//   --quotes=N               calls to time (default 200000)
 //   --seed=N                 master seed (default 20190642)
-//   --fast                   ctest-sized run: 20000 quotes, 3 cold builds
-//   --bench-json=PATH        write the numbers as JSON (BENCH_quote.json)
-//   --profile=PATH           sample the CPU over the whole run (199 Hz)
-//                            and write folded stacks to PATH
+//   --fast                   ctest-sized run: 20000 quotes
 //   --check-warm-p50-us=X    exit non-zero when the warm-quote p50
-//                            exceeds X microseconds — the CI perf gate
-//                            that catches a quote path regressing back
-//                            onto a build or a lock.
+//                            exceeds X microseconds.
 
 #include <algorithm>
 #include <chrono>
@@ -34,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "common/profiler.h"
 #include "common/random.h"
 #include "data/synthetic.h"
 #include "market/curves.h"
@@ -68,17 +54,6 @@ double DoubleFlag(int argc, char** argv, const char* name, double fallback) {
   return fallback;
 }
 
-std::string StringFlag(int argc, char** argv, const char* name,
-                       const std::string& fallback) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::string(argv[i] + prefix.size());
-    }
-  }
-  return fallback;
-}
-
 bool BoolFlag(int argc, char** argv, const char* name) {
   const std::string flag = std::string("--") + name;
   for (int i = 1; i < argc; ++i) {
@@ -89,8 +64,7 @@ bool BoolFlag(int argc, char** argv, const char* name) {
   return false;
 }
 
-// Same market geometry as bench_soak, so the warm numbers here are
-// directly comparable with BENCH_soak.json's end-to-end latencies.
+// Same market geometry as bench_soak.
 Marketplace MakeMarket(uint64_t seed) {
   Rng rng(seed);
   nimbus::data::ClassificationSpec spec;
@@ -119,249 +93,63 @@ Marketplace MakeMarket(uint64_t seed) {
   return market;
 }
 
-struct ModeReport {
-  const char* mode = "";
-  int64_t calls = 0;
-  double wall_seconds = 0.0;
-  double quotes_per_second = 0.0;
-  double p50_us = 0.0;
-  double p95_us = 0.0;
-  double p99_us = 0.0;
-};
-
-double Quantile(std::vector<double>& sorted_us, double q) {
-  if (sorted_us.empty()) {
-    return 0.0;
-  }
-  const size_t index = std::min(
-      sorted_us.size() - 1,
-      static_cast<size_t>(q * static_cast<double>(sorted_us.size())));
-  return sorted_us[index];
-}
-
-ModeReport Summarize(const char* mode, std::vector<double> samples_us,
-                     int64_t calls, double wall_seconds) {
-  std::sort(samples_us.begin(), samples_us.end());
-  ModeReport report;
-  report.mode = mode;
-  report.calls = calls;
-  report.wall_seconds = wall_seconds;
-  report.quotes_per_second =
-      wall_seconds > 0.0 ? static_cast<double>(calls) / wall_seconds : 0.0;
-  report.p50_us = Quantile(samples_us, 0.50);
-  report.p95_us = Quantile(samples_us, 0.95);
-  report.p99_us = Quantile(samples_us, 0.99);
-  return report;
-}
-
 double ElapsedUs(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - start)
       .count();
 }
 
-bool WriteFile(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const size_t written = std::fwrite(body.data(), 1, body.size(), f);
-  return written == body.size() && std::fclose(f) == 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const bool fast = BoolFlag(argc, argv, "fast");
-  const int quotes = IntFlag(argc, argv, "quotes", fast ? 20000 : 200000);
-  const int cold_builds = IntFlag(argc, argv, "cold-builds", fast ? 3 : 10);
-  const int batch = std::max(1, IntFlag(argc, argv, "batch", 16));
+  const int quotes = std::max(1, IntFlag(argc, argv, "quotes",
+                                         fast ? 20000 : 200000));
   const uint64_t seed =
       static_cast<uint64_t>(IntFlag(argc, argv, "seed", 20190642));
-  const std::string bench_json = StringFlag(argc, argv, "bench-json", "");
   const double warm_p50_gate =
       DoubleFlag(argc, argv, "check-warm-p50-us", 0.0);
-  const std::string profile_path = StringFlag(argc, argv, "profile", "");
 
-  if (!profile_path.empty()) {
-    const nimbus::Status prof_started =
-        nimbus::prof::CpuProfiler::Global().Start();
-    if (!prof_started.ok()) {
-      std::fprintf(stderr, "cannot start CPU profiler: %s\n",
-                   prof_started.ToString().c_str());
-      return 2;
-    }
-  }
-
-  std::vector<ModeReport> reports;
-
-  // -- cold: fresh broker per build, timing only the first curve fetch.
-  {
-    std::vector<double> samples_us;
-    samples_us.reserve(cold_builds);
-    double wall_seconds = 0.0;
-    for (int i = 0; i < cold_builds; ++i) {
-      Marketplace market = MakeMarket(seed + static_cast<uint64_t>(i));
-      Broker* broker =
-          *market.BrokerFor(nimbus::ml::ModelKind::kLogisticRegression);
-      const std::string loss =
-          broker->model().report_losses().front()->name();
-      const auto start = std::chrono::steady_clock::now();
-      if (!broker->GetErrorCurve(loss).ok()) {
-        std::fprintf(stderr, "cold build failed\n");
-        return 2;
-      }
-      const double us = ElapsedUs(start);
-      samples_us.push_back(us);
-      wall_seconds += us * 1e-6;
-    }
-    reports.push_back(
-        Summarize("cold", std::move(samples_us), cold_builds, wall_seconds));
-  }
-
-  // One market serves both warm modes; the curve is built once here.
+  // The curve is built once here; every timed call is a cache hit.
   Marketplace market = MakeMarket(seed);
   Broker* broker =
       *market.BrokerFor(nimbus::ml::ModelKind::kLogisticRegression);
   const std::string loss = broker->model().report_losses().front()->name();
-  StatusOr<std::shared_ptr<const nimbus::pricing::ErrorCurve>> curve =
-      broker->GetErrorCurve(loss);
-  if (!curve.ok()) {
+  if (!broker->GetErrorCurve(loss).ok()) {
     std::fprintf(stderr, "warm-up build failed\n");
     return 2;
   }
   const Rng base(seed);
-  auto inverse_ncp_at = [](int i) {
-    return 1.5 + static_cast<double>(i % 37);
-  };
 
-  // -- warm: curve fetch (cache hit) + one quote per call, the serving
-  // layer's single-quote path.
   double checksum = 0.0;  // Defeats dead-code elimination.
-  {
-    std::vector<double> samples_us;
-    samples_us.reserve(quotes);
-    const auto run_start = std::chrono::steady_clock::now();
-    for (int i = 0; i < quotes; ++i) {
-      Rng rng = base.Fork(4 * static_cast<uint64_t>(i));
-      const auto start = std::chrono::steady_clock::now();
-      StatusOr<std::shared_ptr<const nimbus::pricing::ErrorCurve>> hit =
-          broker->GetErrorCurve(loss);
-      StatusOr<Broker::Purchase> purchase =
-          broker->QuoteAtInverseNcp(inverse_ncp_at(i), **hit, rng);
-      samples_us.push_back(ElapsedUs(start));
-      if (!purchase.ok()) {
-        std::fprintf(stderr, "warm quote %d failed\n", i);
-        return 2;
-      }
-      checksum += purchase->price;
-    }
-    reports.push_back(Summarize("warm", std::move(samples_us), quotes,
-                                ElapsedUs(run_start) * 1e-6));
-  }
-
-  // -- batched: identical streams through QuoteBatch; per-item latency
-  // is the batch's wall time divided by its size.
-  {
-    std::vector<double> samples_us;
-    samples_us.reserve(quotes / batch + 1);
-    int64_t calls = 0;
-    const auto run_start = std::chrono::steady_clock::now();
-    for (int begin = 0; begin < quotes; begin += batch) {
-      const int n = std::min(batch, quotes - begin);
-      std::vector<Rng> rngs;
-      rngs.reserve(n);
-      for (int j = 0; j < n; ++j) {
-        rngs.push_back(base.Fork(4 * static_cast<uint64_t>(begin + j)));
-      }
-      std::vector<Broker::QuoteBatchItem> items(n);
-      for (int j = 0; j < n; ++j) {
-        items[j].inverse_ncp = inverse_ncp_at(begin + j);
-        items[j].rng = &rngs[j];
-      }
-      std::vector<StatusOr<Broker::Purchase>> results(
-          n, StatusOr<Broker::Purchase>(nimbus::InternalError("unset")));
-      const auto start = std::chrono::steady_clock::now();
-      broker->QuoteBatch(**curve, items, results);
-      const double us = ElapsedUs(start);
-      for (int j = 0; j < n; ++j) {
-        if (!results[j].ok()) {
-          std::fprintf(stderr, "batched quote %d failed\n", begin + j);
-          return 2;
-        }
-        checksum += results[j]->price;
-        samples_us.push_back(us / static_cast<double>(n));
-      }
-      calls += n;
-    }
-    reports.push_back(Summarize("batched", std::move(samples_us), calls,
-                                ElapsedUs(run_start) * 1e-6));
-  }
-
-  if (!profile_path.empty()) {
-    auto& profiler = nimbus::prof::CpuProfiler::Global();
-    const nimbus::Status prof_stopped = profiler.Stop();
-    if (!prof_stopped.ok()) {
-      std::fprintf(stderr, "profiler Stop failed: %s\n",
-                   prof_stopped.ToString().c_str());
+  std::vector<double> samples_us;
+  samples_us.reserve(quotes);
+  for (int i = 0; i < quotes; ++i) {
+    Rng rng = base.Fork(4 * static_cast<uint64_t>(i));
+    const auto start = std::chrono::steady_clock::now();
+    StatusOr<std::shared_ptr<const nimbus::pricing::ErrorCurve>> hit =
+        broker->GetErrorCurve(loss);
+    StatusOr<Broker::Purchase> purchase = broker->QuoteAtInverseNcp(
+        1.5 + static_cast<double>(i % 37), **hit, rng);
+    samples_us.push_back(ElapsedUs(start));
+    if (!purchase.ok()) {
+      std::fprintf(stderr, "warm quote %d failed\n", i);
       return 2;
     }
-    if (!WriteFile(profile_path, profiler.FoldedText())) {
-      std::fprintf(stderr, "cannot write profile to '%s'\n",
-                   profile_path.c_str());
-      return 2;
-    }
-    std::printf(
-        "cpu profile written to %s (%lld samples, handler overhead %.4f%% "
-        "of process CPU)\n",
-        profile_path.c_str(),
-        static_cast<long long>(profiler.SampleCount()),
-        profiler.last_overhead_ratio() * 100.0);
+    checksum += purchase->price;
   }
-
-  std::printf("bench_quote (quotes=%d, batch=%d, checksum=%.3f)\n", quotes,
-              batch, checksum);
-  for (const ModeReport& r : reports) {
-    std::printf(
-        "  %-8s calls=%-8lld %12.0f quotes/s   p50 %9.2f us   p95 %9.2f us  "
-        " p99 %9.2f us\n",
-        r.mode, static_cast<long long>(r.calls), r.quotes_per_second, r.p50_us,
-        r.p95_us, r.p99_us);
-  }
-
-  if (!bench_json.empty()) {
-    std::string out =
-        "{\n  \"benchmark\": \"bench_quote\",\n  \"quotes\": " +
-        std::to_string(quotes) + ",\n  \"batch\": " + std::to_string(batch) +
-        ",\n  \"runs\": [\n";
-    for (size_t i = 0; i < reports.size(); ++i) {
-      const ModeReport& r = reports[i];
-      char buf[256];
-      std::snprintf(buf, sizeof(buf),
-                    "    {\"mode\":\"%s\",\"calls\":%lld,"
-                    "\"wall_seconds\":%.6g,\"quotes_per_second\":%.6g,"
-                    "\"p50_us\":%.6g,\"p95_us\":%.6g,\"p99_us\":%.6g}",
-                    r.mode, static_cast<long long>(r.calls), r.wall_seconds,
-                    r.quotes_per_second, r.p50_us, r.p95_us, r.p99_us);
-      out += buf;
-      out += i + 1 < reports.size() ? ",\n" : "\n";
-    }
-    out += "  ]\n}\n";
-    if (!WriteFile(bench_json, out)) {
-      std::fprintf(stderr, "cannot write bench json to '%s'\n",
-                   bench_json.c_str());
-      return 2;
-    }
-    std::printf("bench report written to %s\n", bench_json.c_str());
-  }
+  std::nth_element(samples_us.begin(),
+                   samples_us.begin() + samples_us.size() / 2,
+                   samples_us.end());
+  const double p50_us = samples_us[samples_us.size() / 2];
+  std::printf("bench_quote (quotes=%d, checksum=%.3f): warm p50 %.2f us\n",
+              quotes, checksum, p50_us);
 
   if (warm_p50_gate > 0.0) {
-    for (const ModeReport& r : reports) {
-      if (std::strcmp(r.mode, "warm") == 0 && r.p50_us > warm_p50_gate) {
-        std::printf("FAIL: warm-quote p50 %.2f us exceeds the %.2f us gate\n",
-                    r.p50_us, warm_p50_gate);
-        return 1;
-      }
+    if (p50_us > warm_p50_gate) {
+      std::printf("FAIL: warm-quote p50 %.2f us exceeds the %.2f us gate\n",
+                  p50_us, warm_p50_gate);
+      return 1;
     }
     std::printf("PASS: warm-quote p50 within the %.2f us gate\n",
                 warm_p50_gate);

@@ -28,8 +28,9 @@
 //   must stay flat as history grows 10x (the journal tail is constant),
 //   while the journal-only control's full replay scales linearly.
 //
-// Any violated invariant prints VIOLATION and the binary exits
-// non-zero. Flags:
+// Throughput and latency are perfbench's to measure (perfbench/README.md);
+// this driver prints outcomes only. Any violated invariant prints
+// VIOLATION and the binary exits non-zero. Flags:
 //   --requests=N        total requests per phase (default 10000)
 //   --queue=N           overload-phase queue capacity (default 64)
 //   --seed=N            master seed (default 20190642)
@@ -43,20 +44,10 @@
 //                       fast/slow burn rates); the SLO invariants are
 //                       asserted either way (fault-free phases must burn
 //                       zero budget; overload must burn when it sheds)
-//   --bench-json=PATH   write per-run throughput/latency/SLO numbers as
-//                       JSON to PATH (the committed BENCH_soak.json)
-//   --bench-recovery-json=PATH
-//                       write the phase-5 O(delta) recovery sweep as
-//                       JSON to PATH (the committed BENCH_recovery.json)
-//   --bench-audit-json=PATH
-//                       write the phase-7 economic-audit overhead and
-//                       drill outcome as JSON to PATH (the committed
-//                       BENCH_audit.json)
 //   --profile=PATH      sample the CPU for the whole run (199 Hz) and
 //                       write folded stacks to PATH — feed the file to
 //                       a flamegrapher or speedscope. The profiler's
-//                       own overhead is printed (and must stay tiny:
-//                       see BENCH_profile.json)
+//                       self-measured overhead is printed
 //   --admin-port=P      after the phases, serve the live admin endpoint
 //                       (/metrics /healthz /tracez /flightz) on
 //                       127.0.0.1:P under steady traffic for
@@ -118,43 +109,12 @@ using nimbus::service::ServiceOptions;
 int g_violations = 0;
 bool g_slo_report = false;
 
-// One serving run's headline numbers, for --bench-json.
-struct RunReport {
-  const char* phase = "";
-  int workers = 0;
-  int64_t submitted = 0;
-  int64_t ok = 0;
-  int64_t shed = 0;
-  double wall_seconds = 0.0;
-  double requests_per_second = 0.0;
-  double p50_us = 0.0;
-  double p95_us = 0.0;
-  double p99_us = 0.0;
-  double availability = 1.0;
-  double fast_burn_rate = 0.0;
-  double slow_burn_rate = 0.0;
-};
-std::vector<RunReport> g_reports;
-
-// Per-run request-latency quantiles out of the shared registry; callers
-// ResetForTest() at run start so the histogram covers one run only.
-void FillLatencyQuantiles(RunReport& report) {
-  for (const auto& entry : nimbus::telemetry::Registry::Global().Snapshot()) {
-    if (entry.name == "service_request_latency_us") {
-      report.p50_us = entry.histogram.Quantile(0.50);
-      report.p95_us = entry.histogram.Quantile(0.95);
-      report.p99_us = entry.histogram.Quantile(0.99);
-    }
-  }
-}
-
-void ReportSlo(const MarketService& service, RunReport& report,
-               const char* phase, int workers) {
+// The service's SLO report for one run, printed under --slo-report.
+nimbus::telemetry::SloTracker::Report ReportSlo(const MarketService& service,
+                                                const char* phase,
+                                                int workers) {
   const nimbus::telemetry::SloTracker::Report slo =
       service.slo_tracker().Snapshot();
-  report.availability = slo.slow_availability;
-  report.fast_burn_rate = slo.fast_burn_rate;
-  report.slow_burn_rate = slo.slow_burn_rate;
   if (g_slo_report) {
     std::printf(
         "   slo(%s,w=%d): availability=%.6f fast_burn=%.3f slow_burn=%.3f "
@@ -165,22 +125,7 @@ void ReportSlo(const MarketService& service, RunReport& report,
         static_cast<long long>(slo.slow_bad),
         static_cast<long long>(slo.slow_bad + slo.slow_good));
   }
-}
-
-void AppendReportJson(std::string& out, const RunReport& r) {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "    {\"phase\":\"%s\",\"workers\":%d,\"submitted\":%lld,\"ok\":%lld,"
-      "\"shed\":%lld,\"wall_seconds\":%.6g,\"requests_per_second\":%.6g,"
-      "\"p50_us\":%.6g,\"p95_us\":%.6g,\"p99_us\":%.6g,"
-      "\"availability\":%.6g,\"fast_burn_rate\":%.6g,"
-      "\"slow_burn_rate\":%.6g}",
-      r.phase, r.workers, static_cast<long long>(r.submitted),
-      static_cast<long long>(r.ok), static_cast<long long>(r.shed),
-      r.wall_seconds, r.requests_per_second, r.p50_us, r.p95_us, r.p99_us,
-      r.availability, r.fast_burn_rate, r.slow_burn_rate);
-  out += buf;
+  return slo;
 }
 
 bool WriteFile(const std::string& path, const std::string& body) {
@@ -391,10 +336,6 @@ void RunDeterminismPhase(int requests, uint64_t seed,
     const Status started = service.Start();
     SOAK_CHECK(started.ok(), "det: Start failed: %s",
                started.ToString().c_str());
-    // Per-run latency quantiles: zero the shared registry now (workers
-    // are idle between Start and the first Submit, so nothing races).
-    nimbus::telemetry::Registry::Global().ResetForTest();
-    const auto run_start = std::chrono::steady_clock::now();
 
     std::vector<std::future<PurchaseResult>> futures;
     futures.reserve(requests);
@@ -415,10 +356,6 @@ void RunDeterminismPhase(int requests, uint64_t seed,
                  workers, i);
       retries_seen += (result.quote_attempts - 1) + (result.journal_attempts - 1);
     }
-    const double wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      run_start)
-            .count();
     const Status drained = service.Drain();
     SOAK_CHECK(drained.ok(), "det(w=%d): Drain failed: %s", workers,
                drained.ToString().c_str());
@@ -431,34 +368,21 @@ void RunDeterminismPhase(int requests, uint64_t seed,
     CheckRestore(solo.journal_path(), market, seed, "det");
     nimbus::fault::Reset();
 
-    RunReport report;
-    report.phase = "determinism";
-    report.workers = workers;
-    report.submitted = stats.submitted;
-    report.ok = ok_count;
-    report.shed = stats.shed;
-    report.wall_seconds = wall_seconds;
-    report.requests_per_second =
-        wall_seconds > 0.0 ? static_cast<double>(requests) / wall_seconds : 0.0;
-    FillLatencyQuantiles(report);
-    ReportSlo(service, report, "det", workers);
+    const nimbus::telemetry::SloTracker::Report slo =
+        ReportSlo(service, "det", workers);
     // A fault-free-by-absorption run must not burn error budget: every
     // injected fault was retried away, so the SLO sees only successes.
-    SOAK_CHECK(report.availability == 1.0,
+    SOAK_CHECK(slo.slow_availability == 1.0,
                "det(w=%d): SLO availability %.6f != 1.0", workers,
-               report.availability);
-    SOAK_CHECK(report.fast_burn_rate == 0.0 && report.slow_burn_rate == 0.0,
+               slo.slow_availability);
+    SOAK_CHECK(slo.fast_burn_rate == 0.0 && slo.slow_burn_rate == 0.0,
                "det(w=%d): SLO burn rate nonzero (fast %.3f slow %.3f)",
-               workers, report.fast_burn_rate, report.slow_burn_rate);
-    g_reports.push_back(report);
+               workers, slo.fast_burn_rate, slo.slow_burn_rate);
 
     csvs.push_back(market.ledger().ToCsv());
-    std::printf(
-        "   workers=%d: ok=%lld retries=%lld revenue=%.6f "
-        "(%.0f req/s, p99 %.0f us)\n",
-        workers, static_cast<long long>(ok_count),
-        static_cast<long long>(retries_seen), market.total_revenue(),
-        report.requests_per_second, report.p99_us);
+    std::printf("   workers=%d: ok=%lld retries=%lld revenue=%.6f\n", workers,
+                static_cast<long long>(ok_count),
+                static_cast<long long>(retries_seen), market.total_revenue());
   }
   for (size_t i = 1; i < csvs.size(); ++i) {
     SOAK_CHECK(csvs[i] == csvs[0],
@@ -488,8 +412,6 @@ void RunOverloadPhase(int requests, uint64_t seed, int queue_capacity,
                         SoakServiceOptions(seed, workers, queue_capacity));
   const Status started = service.Start();
   SOAK_CHECK(started.ok(), "overload: Start failed");
-  nimbus::telemetry::Registry::Global().ResetForTest();
-  const auto run_start = std::chrono::steady_clock::now();
 
   // Submit in bursts of 4x queue capacity per submitter: a thread only
   // starts its next burst after every future of the last one resolved,
@@ -527,10 +449,6 @@ void RunOverloadPhase(int requests, uint64_t seed, int queue_capacity,
   for (auto& thread : threads) {
     thread.join();
   }
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    run_start)
-          .count();
   const Status drained = service.Drain();
   SOAK_CHECK(drained.ok(), "overload: Drain failed: %s",
              drained.ToString().c_str());
@@ -575,27 +493,17 @@ void RunOverloadPhase(int requests, uint64_t seed, int queue_capacity,
   CheckRestore(solo.journal_path(), market, seed, "overload");
   nimbus::fault::Reset();
 
-  RunReport report;
-  report.phase = "overload";
-  report.workers = workers;
-  report.submitted = total;
-  report.ok = ok_count;
-  report.shed = shed_count;
-  report.wall_seconds = wall_seconds;
-  report.requests_per_second =
-      wall_seconds > 0.0 ? static_cast<double>(total) / wall_seconds : 0.0;
-  FillLatencyQuantiles(report);
-  ReportSlo(service, report, "overload", workers);
+  const nimbus::telemetry::SloTracker::Report slo =
+      ReportSlo(service, "overload", workers);
   // Sheds are bad outcomes: a run that shed must show budget burning,
   // and the availability arithmetic must match the service's counters.
   if (shed_count > 0) {
-    SOAK_CHECK(report.slow_burn_rate > 0.0,
+    SOAK_CHECK(slo.slow_burn_rate > 0.0,
                "overload: shed %lld requests but SLO burn rate is 0",
                static_cast<long long>(shed_count));
-    SOAK_CHECK(report.availability < 1.0,
+    SOAK_CHECK(slo.slow_availability < 1.0,
                "overload: shed requests but SLO availability is 1.0");
   }
-  g_reports.push_back(report);
 
   std::printf("   submitted=%lld ok=%lld shed=%lld (rate %.3f) queue<=%d\n",
               static_cast<long long>(total), static_cast<long long>(ok_count),
@@ -639,15 +547,6 @@ bool FlipByteInFile(const std::string& path) {
   std::fputc(byte ^ 0x20, f);
   return std::fclose(f) == 0;
 }
-
-// One recovery measurement, for --bench-recovery-json.
-struct RecoveryRow {
-  const char* mode = "";    // "checkpoint" or "full_replay"
-  int64_t history = 0;      // Total committed records.
-  int64_t tail = 0;         // Records replayed from the journal.
-  double restore_ms = 0.0;  // Best-of-reps restore wall time.
-};
-std::vector<RecoveryRow> g_recovery_rows;
 
 // Phase 4: crash-recovery drill. Runs checkpointed traffic at each
 // worker count with counted snapshot faults armed (some cadence
@@ -774,9 +673,8 @@ void RunCrashRecoveryDrill(int requests, uint64_t seed,
 // track the constant tail (delta = D/2), staying flat as H grows 10x,
 // while full-journal replay tracks H and grows with it. That flat-vs-
 // linear split is the whole point of the snapshot subsystem; this phase
-// measures it (writing --bench-recovery-json) and asserts it.
-void RunRecoverySweep(bool fast, uint64_t seed,
-                      const std::string& bench_recovery_json) {
+// asserts it.
+void RunRecoverySweep(bool fast, uint64_t seed) {
   const int64_t cadence = fast ? 64 : 256;
   const int64_t tail = cadence / 2;
   const int64_t base_history = fast ? 512 : 2560;
@@ -889,15 +787,6 @@ void RunRecoverySweep(bool fast, uint64_t seed,
     }
     ckpt_ms[h] = best_ckpt;
     full_ms[h] = best_full;
-    g_recovery_rows.push_back(
-        {"checkpoint", history + tail, tail, best_ckpt});
-    g_recovery_rows.push_back(
-        {"full_replay", history + tail, history + tail, best_full});
-    std::printf(
-        "   history=%lld(+%lld tail): checkpoint restore %.3f ms, "
-        "full replay %.3f ms\n",
-        static_cast<long long>(history), static_cast<long long>(tail),
-        best_ckpt, best_full);
     RemoveRecoveryFiles(ckpt_path);
     RemoveRecoveryFiles(full_path);
   }
@@ -918,36 +807,6 @@ void RunRecoverySweep(bool fast, uint64_t seed,
              full_ratio);
   std::printf("   10x history: checkpoint restore %.2fx, full replay %.2fx\n",
               ckpt_ratio, full_ratio);
-
-  if (!bench_recovery_json.empty()) {
-    std::string out =
-        "{\n  \"benchmark\": \"bench_recovery\",\n  \"delta\": " +
-        std::to_string(tail) + ",\n  \"runs\": [\n";
-    for (size_t i = 0; i < g_recovery_rows.size(); ++i) {
-      const RecoveryRow& r = g_recovery_rows[i];
-      char buf[256];
-      std::snprintf(buf, sizeof(buf),
-                    "    {\"mode\":\"%s\",\"history\":%lld,\"tail\":%lld,"
-                    "\"restore_ms\":%.6g}",
-                    r.mode, static_cast<long long>(r.history),
-                    static_cast<long long>(r.tail), r.restore_ms);
-      out += buf;
-      out += i + 1 < g_recovery_rows.size() ? ",\n" : "\n";
-    }
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "  ],\n  \"checkpoint_scale_10x\": %.6g,\n"
-                  "  \"full_replay_scale_10x\": %.6g\n}\n",
-                  ckpt_ratio, full_ratio);
-    out += buf;
-    if (!WriteFile(bench_recovery_json, out)) {
-      std::fprintf(stderr, "cannot write recovery bench to '%s'\n",
-                   bench_recovery_json.c_str());
-      std::exit(2);
-    }
-    std::printf("recovery bench written to %s\n",
-                bench_recovery_json.c_str());
-  }
 }
 
 // Phase 6: sharded chaos soak. A bulkheaded catalog of N products (12
@@ -1028,8 +887,6 @@ void RunShardedChaosPhase(uint64_t seed, bool fast,
         &catalog,
         SoakServiceOptions(seed, workers, num_products * (w1 + 1)));
     SOAK_CHECK(service.Start().ok(), "shards(w=%d): Start failed", workers);
-    const auto run_start = std::chrono::steady_clock::now();
-    int64_t submitted = 0;
     int64_t ok_count = 0;
 
     // Submits `per_product` requests to every product except that
@@ -1056,7 +913,6 @@ void RunShardedChaosPhase(uint64_t seed, bool fast,
           products.push_back(p);
         }
       }
-      submitted += static_cast<int64_t>(futures.size());
       for (size_t i = 0; i < futures.size(); ++i) {
         on_result(products[i], futures[i].get());
       }
@@ -1160,10 +1016,6 @@ void RunShardedChaosPhase(uint64_t seed, bool fast,
                workers);
     nimbus::fault::Reset();
 
-    const double wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      run_start)
-            .count();
     catalog.StopRecoveryLoop();
     const Status drained = service.Drain();
     SOAK_CHECK(drained.ok(), "shards(w=%d): Drain failed: %s", workers,
@@ -1216,26 +1068,11 @@ void RunShardedChaosPhase(uint64_t seed, bool fast,
     }
     csvs.push_back(std::move(run_csvs));
 
-    RunReport report;
-    report.phase = "sharded_chaos";
-    report.workers = workers;
-    report.submitted = submitted;
-    report.ok = ok_count;
-    report.shed = 0;
-    report.wall_seconds = wall_seconds;
-    report.requests_per_second =
-        wall_seconds > 0.0 ? static_cast<double>(submitted) / wall_seconds
-                           : 0.0;
-    FillLatencyQuantiles(report);
-    ReportSlo(service, report, "shards", workers);
-    g_reports.push_back(report);
-    std::printf(
-        "   workers=%d: products=%d ok=%lld victim tail=%lld/%lld "
-        "(%.0f req/s, p99 %.0f us)\n",
-        workers, num_products, static_cast<long long>(ok_count),
-        static_cast<long long>(restore.tail_records),
-        static_cast<long long>(cadence), report.requests_per_second,
-        report.p99_us);
+    ReportSlo(service, "shards", workers);
+    std::printf("   workers=%d: products=%d ok=%lld victim tail=%lld/%lld\n",
+                workers, num_products, static_cast<long long>(ok_count),
+                static_cast<long long>(restore.tail_records),
+                static_cast<long long>(cadence));
 
     // Best-effort cleanup of the per-shard tree.
     for (int p = 0; p < num_products; ++p) {
@@ -1275,13 +1112,11 @@ int64_t RegistryCounterValue(const char* name) {
 
 // Phase 7 (economic audit), two halves:
 //
-//   (a) Fault-free overhead + non-perturbation: the determinism stream
-//   replayed at each worker count with the auditor off, then on (loop
-//   running, every commit sampled). The auditor must find zero
-//   violations, and the ledger must be byte-identical across every run
-//   — auditor on or off, at every worker count. Throughput and p50 for
-//   both arms land in --bench-audit-json so the <2% overhead budget is
-//   tracked in BENCH_audit.json.
+//   (a) Fault-free non-perturbation: the determinism stream replayed at
+//   each worker count with the auditor off, then on (loop running, every
+//   commit sampled). The auditor must find zero violations, and the
+//   ledger must be byte-identical across every run — auditor on or off,
+//   at every worker count.
 //
 //   (b) Detection drill: `audit.verify` armed as a counted fault, which
 //   corrupts the price of exactly one SAMPLED COPY (the ledger is
@@ -1290,19 +1125,11 @@ int64_t RegistryCounterValue(const char* name) {
 //   health report, auto-dump the flight ring exactly once, and surface
 //   the first-failure timestamp at /auditz.
 void RunAuditPhase(int requests, uint64_t seed,
-                   const std::vector<int>& worker_counts,
-                   const std::string& bench_audit_json) {
+                   const std::vector<int>& worker_counts) {
   std::printf("== phase 7: economic audit (%d requests)\n", requests);
   using nimbus::market::Auditor;
   using nimbus::market::AuditorOptions;
 
-  struct AuditRun {
-    int workers = 0;
-    bool audited = false;
-    double requests_per_second = 0.0;
-    double p50_us = 0.0;
-  };
-  std::vector<AuditRun> audit_runs;
   std::vector<std::string> csvs;
   int64_t audited_commits = 0;
 
@@ -1322,8 +1149,6 @@ void RunAuditPhase(int requests, uint64_t seed,
       }
       MarketService service(solo.catalog(), service_options);
       SOAK_CHECK(service.Start().ok(), "audit: Start failed");
-      nimbus::telemetry::Registry::Global().ResetForTest();
-      const auto run_start = std::chrono::steady_clock::now();
       std::vector<std::future<PurchaseResult>> futures;
       futures.reserve(requests);
       for (int i = 0; i < requests; ++i) {
@@ -1333,10 +1158,6 @@ void RunAuditPhase(int requests, uint64_t seed,
       for (auto& future : futures) {
         ok_count += future.get().status.ok() ? 1 : 0;
       }
-      const double wall_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        run_start)
-              .count();
       SOAK_CHECK(service.Drain().ok(), "audit(w=%d): Drain failed", workers);
       SOAK_CHECK(ok_count == requests, "audit(w=%d): %lld/%d ok", workers,
                  static_cast<long long>(ok_count), requests);
@@ -1353,23 +1174,11 @@ void RunAuditPhase(int requests, uint64_t seed,
                    static_cast<long long>(ok_count));
         audited_commits += status.samples_audited;
       }
-      AuditRun run;
-      run.workers = workers;
-      run.audited = audited;
-      run.requests_per_second =
-          wall_seconds > 0.0 ? static_cast<double>(requests) / wall_seconds
-                             : 0.0;
-      RunReport quantiles;
-      FillLatencyQuantiles(quantiles);
-      run.p50_us = quantiles.p50_us;
-      audit_runs.push_back(run);
       // The headline non-perturbation claim: ledger bytes do not depend
       // on whether the auditor watched.
       csvs.push_back(solo.market().ledger().ToCsv());
-      std::printf("   workers=%d auditor=%s: ok=%lld (%.0f req/s, p50 %.0f us)\n",
-                  workers, audited ? "on" : "off",
-                  static_cast<long long>(ok_count), run.requests_per_second,
-                  run.p50_us);
+      std::printf("   workers=%d auditor=%s: ok=%lld\n", workers,
+                  audited ? "on" : "off", static_cast<long long>(ok_count));
     }
   }
   int ledger_mismatches = 0;
@@ -1468,15 +1277,6 @@ void RunAuditPhase(int requests, uint64_t seed,
                "audit drill: /auditz does not show the violation");
     SOAK_CHECK(auditz.find("first_failure_t_seconds") != std::string::npos,
                "audit drill: /auditz missing first-failure timestamp");
-    if (!bench_audit_json.empty()) {
-      // Keep the raw /auditz response next to the bench JSON so a CI
-      // failure ships the auditor's own verdict as an artifact.
-      const size_t body_at = auditz.find("\r\n\r\n");
-      WriteFile(bench_audit_json + ".auditz",
-                body_at == std::string::npos
-                    ? auditz
-                    : auditz.substr(body_at + 4));
-    }
   }
   const int64_t dumps_after = RegistryCounterValue("flight_dumps_total");
   const int64_t drill_dumps = dumps_after - dumps_before;
@@ -1487,61 +1287,10 @@ void RunAuditPhase(int requests, uint64_t seed,
   std::remove(dump_path.c_str());
   std::printf(
       "   drill: injected mispricing detected=%s (ticket %lld, offering %s, "
-      "%lld incident dump(s))\n",
+      "%lld violation(s), %lld incident dump(s))\n",
       drill_detected ? "yes" : "NO", static_cast<long long>(drill_ticket),
-      drill_offering.c_str(), static_cast<long long>(drill_dumps));
-
-  if (!bench_audit_json.empty()) {
-    // Overhead: auditor-on vs auditor-off, averaged across worker counts.
-    double off_rps = 0.0, on_rps = 0.0, off_p50 = 0.0, on_p50 = 0.0;
-    int off_n = 0, on_n = 0;
-    std::string runs_json;
-    for (const AuditRun& run : audit_runs) {
-      char buf[256];
-      std::snprintf(buf, sizeof(buf),
-                    "%s    {\"workers\":%d,\"auditor\":\"%s\","
-                    "\"requests_per_second\":%.6g,\"p50_us\":%.6g}",
-                    runs_json.empty() ? "" : ",\n", run.workers,
-                    run.audited ? "on" : "off", run.requests_per_second,
-                    run.p50_us);
-      runs_json += buf;
-      (run.audited ? on_rps : off_rps) += run.requests_per_second;
-      (run.audited ? on_p50 : off_p50) += run.p50_us;
-      (run.audited ? on_n : off_n) += 1;
-    }
-    if (off_n > 0 && on_n > 0) {
-      off_rps /= off_n;
-      on_rps /= on_n;
-      off_p50 /= off_n;
-      on_p50 /= on_n;
-    }
-    char tail[512];
-    std::snprintf(
-        tail, sizeof(tail),
-        "  ],\n  \"overhead\": {\"requests_per_second_pct\":%.4g,"
-        "\"p50_us_pct\":%.4g},\n  \"ledger_identical\": %s,\n"
-        "  \"drill\": {\"detected\": %s, \"violations\": %lld,"
-        " \"ticket\": %lld, \"offering\": \"%s\","
-        " \"incident_dumps\": %lld}\n}\n",
-        off_rps > 0.0 ? (off_rps - on_rps) / off_rps * 100.0 : 0.0,
-        off_p50 > 0.0 ? (on_p50 - off_p50) / off_p50 * 100.0 : 0.0,
-        ledger_mismatches == 0 ? "true" : "false",
-        drill_detected ? "true" : "false",
-        static_cast<long long>(drill_violations),
-        static_cast<long long>(drill_ticket), drill_offering.c_str(),
-        static_cast<long long>(drill_dumps));
-    const std::string out =
-        "{\n  \"benchmark\": \"bench_audit\",\n  \"requests\": " +
-        std::to_string(requests) + ",\n  \"runs\": [\n" + runs_json + "\n" +
-        tail;
-    if (!WriteFile(bench_audit_json, out)) {
-      std::fprintf(stderr, "cannot write audit bench json to '%s'\n",
-                   bench_audit_json.c_str());
-      std::exit(2);
-    }
-    std::printf("audit bench report written to %s\n",
-                bench_audit_json.c_str());
-  }
+      drill_offering.c_str(), static_cast<long long>(drill_violations),
+      static_cast<long long>(drill_dumps));
 }
 
 // Phase 3 (optional, --admin-port): keep a service under steady traffic
@@ -1625,11 +1374,6 @@ int main(int argc, char** argv) {
                  std::getenv("NIMBUS_FAULTS") != nullptr ? "" : default_faults);
   const bool metrics = BoolFlag(argc, argv, "metrics");
   const std::string metrics_path = StringFlag(argc, argv, "metrics", "");
-  const std::string bench_json = StringFlag(argc, argv, "bench-json", "");
-  const std::string bench_recovery_json =
-      StringFlag(argc, argv, "bench-recovery-json", "");
-  const std::string bench_audit_json =
-      StringFlag(argc, argv, "bench-audit-json", "");
   g_slo_report = BoolFlag(argc, argv, "slo-report");
   const int admin_port = IntFlag(argc, argv, "admin-port", -1);
   const double serve_seconds =
@@ -1660,9 +1404,9 @@ int main(int argc, char** argv) {
                             .c_str());
   }
   RunCrashRecoveryDrill(requests, seed + 3, worker_counts);
-  RunRecoverySweep(fast, seed + 4, bench_recovery_json);
+  RunRecoverySweep(fast, seed + 4);
   RunShardedChaosPhase(seed + 5, fast, worker_counts);
-  RunAuditPhase(requests, seed + 6, worker_counts, bench_audit_json);
+  RunAuditPhase(requests, seed + 6, worker_counts);
   if (metrics) {
     std::printf("%s\n", nimbus::telemetry::SnapshotToText(
                             nimbus::telemetry::Registry::Global().Snapshot())
@@ -1703,21 +1447,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     std::printf("metrics snapshot written to %s\n", metrics_path.c_str());
-  }
-  if (!bench_json.empty()) {
-    std::string out = "{\n  \"benchmark\": \"bench_soak\",\n  \"requests\": " +
-                      std::to_string(requests) + ",\n  \"runs\": [\n";
-    for (size_t i = 0; i < g_reports.size(); ++i) {
-      AppendReportJson(out, g_reports[i]);
-      out += i + 1 < g_reports.size() ? ",\n" : "\n";
-    }
-    out += "  ]\n}\n";
-    if (!WriteFile(bench_json, out)) {
-      std::fprintf(stderr, "cannot write bench json to '%s'\n",
-                   bench_json.c_str());
-      return 2;
-    }
-    std::printf("bench report written to %s\n", bench_json.c_str());
   }
 
   if (g_violations > 0) {

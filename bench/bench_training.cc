@@ -9,7 +9,7 @@
 // pin NIMBUS_THREADS for the run, so ->Args({n, d, 1}) vs ->Args({n, d, 8})
 // shows the ParallelFor scaling of the hot path. Results are bit-identical
 // across thread counts (deterministic chunked reductions + per-index RNG
-// streams); see bench/README.md for regenerating BENCH_parallel.json.
+// streams).
 
 #include <benchmark/benchmark.h>
 

@@ -34,6 +34,12 @@ StatusOr<double> ComputeStatistic(const data::Dataset& dataset, int column,
 // from an arbitrage-free pricing function over x = 1/δ, and purchases
 // return a noisy scalar produced by a mechanism (Example 1's K1 additive
 // uniform and K2 multiplicative uniform both work, as does Gaussian).
+//
+// This is Example 1's toy market, not a second serving path. Its till
+// (revenue_collected / sales_count) is deliberately a pair of counters,
+// not a market::Ledger: it keeps no journal, snapshots or audit taps,
+// and nothing serves or restores it. Model sales go through
+// market::Marketplace and its Ledger.
 class AggregateMarket {
  public:
   struct Options {

@@ -62,11 +62,7 @@ telemetry::Histogram& CheckpointLatency() {
 }  // namespace
 
 Checkpointer::Checkpointer(std::string journal_path, CheckpointPolicy policy)
-    : journal_path_(std::move(journal_path)), policy_(policy) {
-  if (policy_.retain_snapshots < 2) {
-    policy_.retain_snapshots = 2;  // The ladder needs a fallback rung.
-  }
-}
+    : journal_path_(std::move(journal_path)), policy_(policy) {}
 
 Status Checkpointer::Init() {
   StatusOr<snapshot::Manifest> manifest =
@@ -89,17 +85,9 @@ Status Checkpointer::Init() {
   return OkStatus();
 }
 
-bool Checkpointer::Due(int64_t ledger_records,
-                       int64_t journal_live_bytes) const {
-  if (policy_.every_records > 0 &&
-      ledger_records - stats_.last_sequence >= policy_.every_records) {
-    return true;
-  }
-  if (policy_.every_journal_bytes > 0 &&
-      journal_live_bytes >= policy_.every_journal_bytes) {
-    return true;
-  }
-  return false;
+bool Checkpointer::Due(int64_t ledger_records) const {
+  return policy_.every_records > 0 &&
+         ledger_records - stats_.last_sequence >= policy_.every_records;
 }
 
 StatusOr<int64_t> Checkpointer::Commit(snapshot::State state,
@@ -162,7 +150,7 @@ StatusOr<int64_t> Checkpointer::Commit(snapshot::State state,
   // Prune generations the ladder can no longer want. unlink failures
   // are ignored: an undeletable stale snapshot is wasted disk, not a
   // correctness problem.
-  for (int64_t gen = generation - policy_.retain_snapshots; gen >= 1; --gen) {
+  for (int64_t gen = generation - kRetainedSnapshots; gen >= 1; --gen) {
     const std::string stale = snapshot::SnapshotPath(journal_path_, gen);
     if (std::remove(stale.c_str()) != 0) {
       break;  // Older ones were pruned by earlier checkpoints.

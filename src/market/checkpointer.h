@@ -10,18 +10,13 @@
 
 namespace nimbus::market {
 
-// When the marketplace takes a checkpoint. A zero cadence disables that
-// trigger; with both cadences zero, checkpoints happen only on demand
-// (CheckpointNow / checkpoint-on-drain).
+// When the marketplace takes a checkpoint. With a zero cadence,
+// checkpoints happen only on demand (CheckpointNow /
+// checkpoint-on-drain).
 struct CheckpointPolicy {
   // Snapshot after this many new ledger records since the last
   // checkpoint.
   int64_t every_records = 0;
-  // Snapshot once the live journal segment reaches this many bytes.
-  int64_t every_journal_bytes = 0;
-  // Snapshot generations kept on disk. Minimum 2: the newest rung plus
-  // the fallback rung the recovery ladder needs when the newest is torn.
-  int retain_snapshots = 2;
 };
 
 // Drives the snapshot + journal-compaction cycle for one marketplace:
@@ -41,19 +36,23 @@ class Checkpointer {
  public:
   Checkpointer(std::string journal_path, CheckpointPolicy policy);
 
+  // Snapshot generations kept on disk: the newest rung plus the
+  // fallback rung the recovery ladder needs when the newest is torn.
+  static constexpr int kRetainedSnapshots = 2;
+
   // Resumes generation numbering from the on-disk manifest (falling
   // back to the snapshot directory scan), so a restarted process
   // continues the sequence instead of overwriting generation 1.
   Status Init();
 
   // True when the policy calls for a checkpoint given the ledger's
-  // record count and the live journal segment size.
-  bool Due(int64_t ledger_records, int64_t journal_live_bytes) const;
+  // record count.
+  bool Due(int64_t ledger_records) const;
 
   // Commits one checkpoint: stamps the next generation into `state`,
   // writes the snapshot atomically, updates the manifest, rotates
   // `journal` (when non-null) down to the previous generation's
-  // sequence, and prunes generations beyond the retention count. When
+  // sequence, and prunes generations beyond kRetainedSnapshots. When
   // `state.sequence` equals the last committed checkpoint's sequence the
   // call is a no-op returning the existing generation (a drain right
   // after a cadence checkpoint should not burn a generation). Returns
@@ -72,7 +71,6 @@ class Checkpointer {
     int64_t prev_sequence = 0;  // ... by the generation before it.
   };
   const Stats& stats() const { return stats_; }
-  const CheckpointPolicy& policy() const { return policy_; }
   const std::string& journal_path() const { return journal_path_; }
 
  private:

@@ -54,9 +54,9 @@ enum class StalePolicy {
   kServeStale,
 };
 
-// Shared, versioned, concurrency-safe cache of immutable error curves —
-// the quote hot path's answer to BENCH_soak's 17 ms p50: every quote
-// after the first is a shared_ptr copy instead of a Monte-Carlo build.
+// Shared, versioned, concurrency-safe cache of immutable error curves:
+// every quote after the first is a shared_ptr copy instead of a
+// Monte-Carlo build.
 //
 // Single-flight protocol, per key:
 //   - The first requester of a missing (or invalidated) version becomes

@@ -440,9 +440,7 @@ Status Marketplace::MaybeCheckpoint() {
   if (checkpointer_ == nullptr) {
     return OkStatus();
   }
-  const Journal* journal = ledger_.journal();
-  const int64_t live_bytes = journal != nullptr ? journal->live_bytes() : 0;
-  if (!checkpointer_->Due(ledger_.size(), live_bytes)) {
+  if (!checkpointer_->Due(ledger_.size())) {
     return OkStatus();
   }
   const StatusOr<int64_t> generation = CheckpointNow();

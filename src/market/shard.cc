@@ -177,7 +177,6 @@ StatusOr<Marketplace> Shard::BuildAndRestore(Marketplace::RestoreReport* report,
   if (FileExists(journal_path_)) {
     Marketplace::RestoreOptions restore;
     restore.journal = options_.journal;
-    restore.hydrate = options_.hydrate_on_restore;
     NIMBUS_RETURN_IF_ERROR(
         market.RestoreFromCheckpoint(journal_path_, restore, report));
   } else {

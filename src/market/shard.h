@@ -53,9 +53,6 @@ struct ShardOptions {
   // via full replay).
   bool enable_checkpoints = false;
   CheckpointPolicy checkpoint_policy;
-  // Load the full entry log during restore (see
-  // Marketplace::RestoreOptions::hydrate).
-  bool hydrate_on_restore = true;
 };
 
 // One fault-isolated product shard: a Marketplace plus its durable

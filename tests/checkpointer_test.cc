@@ -87,25 +87,62 @@ class CheckpointerTest : public ::testing::Test {
   void TearDown() override { fault::Reset(); }
 };
 
-TEST_F(CheckpointerTest, DueFollowsRecordAndByteCadence) {
+TEST_F(CheckpointerTest, DueFollowsRecordCadence) {
   CheckpointPolicy policy;
   policy.every_records = 10;
-  policy.every_journal_bytes = 1000;
   Checkpointer checkpointer("/dev/null/none.waj", policy);
-  EXPECT_FALSE(checkpointer.Due(9, 999));
-  EXPECT_TRUE(checkpointer.Due(10, 0));
-  EXPECT_TRUE(checkpointer.Due(0, 1000));
+  EXPECT_FALSE(checkpointer.Due(9));
+  EXPECT_TRUE(checkpointer.Due(10));
 
-  CheckpointPolicy on_demand;  // Both cadences zero: never due.
+  CheckpointPolicy on_demand;  // Zero cadence: never due.
   Checkpointer manual("/dev/null/none.waj", on_demand);
-  EXPECT_FALSE(manual.Due(1 << 20, 1 << 30));
+  EXPECT_FALSE(manual.Due(1 << 20));
 }
 
-TEST_F(CheckpointerTest, PolicyClampsRetentionToLadderMinimum) {
+// Pruning keeps exactly the two newest generations: the ladder's newest
+// rung and its fallback. Corrupting the newest must still leave a
+// snapshot to restore from.
+TEST_F(CheckpointerTest, PruningKeepsTheNewestTwoGenerations) {
+  const std::string path = TempPath("nimbus_ckpt_retain.waj");
+  RemoveCheckpointFiles(path);
+  Marketplace market = MakeMarket(36);
+  ASSERT_TRUE(market.EnableJournal(path).ok());
   CheckpointPolicy policy;
-  policy.retain_snapshots = 0;
-  Checkpointer checkpointer("/dev/null/none.waj", policy);
-  EXPECT_EQ(checkpointer.policy().retain_snapshots, 2);
+  policy.every_records = 2;
+  ASSERT_TRUE(market.EnableCheckpoints(policy).ok());
+  for (int i = 0; i < 9; ++i) {
+    BuyOne(market, "erin", 2.0 + i % 4);
+  }
+  ASSERT_EQ(market.CheckpointStats()->last_generation, 4);
+  for (int64_t generation = 1; generation <= 4; ++generation) {
+    std::FILE* f = std::fopen(
+        snapshot::SnapshotPath(path, generation).c_str(), "rb");
+    EXPECT_EQ(f != nullptr, generation >= 3) << "generation " << generation;
+    if (f != nullptr) {
+      std::fclose(f);
+    }
+  }
+
+  ASSERT_TRUE(market.FlushJournal().ok());
+  std::FILE* newest =
+      std::fopen(snapshot::SnapshotPath(path, 4).c_str(), "r+b");
+  ASSERT_NE(newest, nullptr);
+  std::fseek(newest, 10, SEEK_SET);
+  const int byte = std::fgetc(newest);
+  std::fseek(newest, 10, SEEK_SET);
+  std::fputc(byte ^ 0x20, newest);
+  std::fclose(newest);
+  Marketplace restored = MakeMarket(36);
+  Marketplace::RestoreReport report;
+  ASSERT_TRUE(restored
+                  .RestoreFromCheckpoint(path, Marketplace::RestoreOptions{},
+                                         &report)
+                  .ok());
+  EXPECT_EQ(report.source,
+            Marketplace::RestoreReport::Source::kPreviousSnapshot);
+  EXPECT_EQ(report.generation, 3);
+  EXPECT_EQ(restored.ledger().ToCsv(), market.ledger().ToCsv());
+  RemoveCheckpointFiles(path);
 }
 
 TEST_F(CheckpointerTest, RecordCadenceCheckpointsAndRotatesDuringTrading) {

@@ -4,14 +4,22 @@
 #include <chrono>
 #include <condition_variable>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "common/status.h"
 #include "common/telemetry.h"
+#include "data/synthetic.h"
+#include "market/curves.h"
+#include "market/market_simulator.h"
+#include "market/marketplace.h"
+#include "one_shard_catalog.h"
+#include "service/service.h"
 
 namespace nimbus::prof {
 
@@ -103,6 +111,70 @@ TEST(CpuProfilerTest, OverheadStaysUnderTwoPercent) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+market::Marketplace MakeMarket() {
+  Rng rng(41);
+  data::ClassificationSpec spec;
+  spec.num_examples = 200;
+  spec.num_features = 4;
+  spec.positive_prob = 0.9;
+  data::Dataset all = data::GenerateClassification(spec, rng);
+  market::Broker::Options options;
+  options.error_curve_points = 6;
+  options.samples_per_curve_point = 40;
+  options.min_inverse_ncp = 1.0;
+  options.max_inverse_ncp = 50.0;
+  market::Marketplace market(data::Split(all, 0.75, rng), options);
+  auto points = market::MakeBuyerPoints(market::ValueShape::kConcave,
+                                        market::DemandShape::kUniform, 10, 1.0,
+                                        50.0, 80.0, 2.0);
+  market::Seller seller = *market::Seller::Create(*points);
+  EXPECT_TRUE(market
+                  .AddOffering(ml::ModelKind::kLogisticRegression, 0.01,
+                               *seller.NegotiatePricing())
+                  .ok());
+  return market;
+}
+
+// Serves one fixed request stream through a fresh one-shard catalog
+// (journaled, four workers) and returns the drained ledger's CSV.
+std::string ServeFixedStream() {
+  constexpr int kRequests = 4000;
+  testutil::OneShardCatalog store([] { return MakeMarket(); });
+  service::ServiceOptions options;
+  options.num_workers = 4;
+  options.queue_capacity = kRequests;
+  service::MarketService service(store.catalog(), options);
+  EXPECT_TRUE(service.Start().ok());
+  std::vector<std::future<service::PurchaseResult>> futures;
+  futures.reserve(kRequests);
+  for (int i = 0; i < kRequests; ++i) {
+    service::PurchaseRequest request;
+    request.buyer_id = "buyer-" + std::to_string(i % 7);
+    request.model = ml::ModelKind::kLogisticRegression;
+    request.inverse_ncp = 1.5 + static_cast<double>(i % 37);
+    futures.push_back(service.Submit(std::move(request)));
+  }
+  for (auto& future : futures) {
+    const service::PurchaseResult result = future.get();
+    EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+  }
+  EXPECT_TRUE(service.Drain().ok());
+  return store.market().ledger().ToCsv();
+}
+
+// Profiling is observation-only: SIGPROF landing on the serving threads
+// (mid-quote, mid-journal-write) must not change a single booked byte.
+TEST(CpuProfilerTest, ProfilingIsObservationOnly) {
+  const std::string off = ServeFixedStream();
+  CpuProfiler& profiler = CpuProfiler::Global();
+  ASSERT_TRUE(profiler.Start(1000).ok());
+  const std::string on = ServeFixedStream();
+  ASSERT_TRUE(profiler.Stop().ok());
+  EXPECT_GT(profiler.SampleCount(), 0);
+  EXPECT_NE(off.find('\n'), std::string::npos);
+  EXPECT_EQ(on, off);
 }
 
 TEST(CpuProfilerTest, ConcurrentStartScrapeStopIsSafe) {
