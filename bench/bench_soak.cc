@@ -511,20 +511,11 @@ void RunOverloadPhase(int requests, uint64_t seed, int queue_capacity,
 }
 
 // Removes every durability artifact a checkpointed run leaves behind:
-// the journal, the `.prev` rotation segment, the snapshot manifest, and
-// all snapshot generations (including torn `.tmp` leftovers).
+// the journal, its sealed segments, the snapshot manifest, and all
+// snapshot generations (including torn `.tmp` leftovers).
 void RemoveRecoveryFiles(const std::string& journal_path) {
-  std::remove(journal_path.c_str());
-  std::remove((journal_path + ".prev").c_str());
-  const std::string manifest =
-      nimbus::market::snapshot::ManifestPath(journal_path);
-  std::remove(manifest.c_str());
-  std::remove((manifest + ".tmp").c_str());
-  for (int64_t generation = 1; generation <= 256; ++generation) {
-    const std::string snap =
-        nimbus::market::snapshot::SnapshotPath(journal_path, generation);
-    std::remove(snap.c_str());
-    std::remove((snap + ".tmp").c_str());
+  for (const std::string& file : nimbus::market::RecoveryFiles(journal_path)) {
+    std::remove(file.c_str());
   }
 }
 
@@ -557,8 +548,10 @@ bool FlipByteInFile(const std::string& path) {
 // marketplace must recover from the newest surviving cadence
 // checkpoint plus the journal tail, byte-identical to the live ledger.
 // Then the newest snapshot is bit-flipped and recovery must fall back
-// a generation — still byte-identical — proving the ladder at soak
-// scale, not just in unit tests.
+// a generation, and then the other retained generation too and
+// recovery must fully replay the sealed journal segments — both still
+// byte-identical — proving every rung of the ladder at soak scale, not
+// just in unit tests.
 void RunCrashRecoveryDrill(int requests, uint64_t seed,
                            const std::vector<int>& worker_counts) {
   std::printf("== phase 4: crash-recovery drill (%d requests, workers", requests);
@@ -653,9 +646,38 @@ void RunCrashRecoveryDrill(int requests, uint64_t seed,
       SOAK_CHECK(fallback.ledger().ToCsv() == live_csv,
                  "crash(w=%d): fallback ledger differs byte-wise", workers);
     }
+    // Recovery 3: bit-rot the other retained generation too. Many
+    // checkpoints have pruned every early generation by now, so only
+    // the ladder's last rung is left: a full replay of the sealed
+    // segments and the live segment, still byte-identical.
+    const std::vector<int64_t> retained =
+        nimbus::market::snapshot::ListGenerations(path);
+    for (const int64_t generation : retained) {
+      if (generation != report.generation) {
+        SOAK_CHECK(FlipByteInFile(
+                       nimbus::market::snapshot::SnapshotPath(path, generation)),
+                   "crash: could not corrupt generation %lld",
+                   static_cast<long long>(generation));
+      }
+    }
+    Marketplace replayed = MakeMarket(seed);
+    Marketplace::RestoreReport full_report;
+    const Status full = replayed.RestoreFromCheckpoint(
+        path, Marketplace::RestoreOptions{}, &full_report);
+    SOAK_CHECK(full.ok(), "crash(w=%d): full replay failed: %s", workers,
+               full.ToString().c_str());
+    if (full.ok()) {
+      SOAK_CHECK(
+          full_report.source == Marketplace::RestoreReport::Source::kFullReplay,
+          "crash(w=%d): both generations corrupt but the ladder stopped "
+          "short of full replay",
+          workers);
+      SOAK_CHECK(replayed.ledger().ToCsv() == live_csv,
+                 "crash(w=%d): full-replay ledger differs byte-wise", workers);
+    }
     std::printf(
         "   workers=%d: ok=%lld ckpts=%lld gen=%lld snapshot=%lld tail=%lld "
-        "fallback=%s\n",
+        "fallback=%s last_rung=%s\n",
         workers, static_cast<long long>(ok_count),
         static_cast<long long>(stats.ok() ? stats->checkpoints : -1),
         static_cast<long long>(report.generation),
@@ -663,7 +685,10 @@ void RunCrashRecoveryDrill(int requests, uint64_t seed,
         static_cast<long long>(report.tail_records),
         fb_report.source == Marketplace::RestoreReport::Source::kFullReplay
             ? "full_replay"
-            : "previous_snapshot");
+            : "previous_snapshot",
+        full_report.source == Marketplace::RestoreReport::Source::kFullReplay
+            ? "full_replay"
+            : "missed");
   }
 }
 

@@ -1,10 +1,12 @@
 // Crash-recovery drill driver — the two halves of CI's kill -9 test.
 //
 //   recovery_drill --journal=PATH --serve --requests=N [--seed=S]
-//     Builds the demo marketplace, attaches a write-ahead journal with
-//     per-record fsync (so a SIGKILL loses nothing that was
-//     acknowledged), enables cadence checkpointing, and feeds a
-//     deterministic stream of N sales. Meant to be killed mid-run.
+//     Deletes whatever journal chain an earlier run left at PATH (live
+//     and sealed segments, snapshots, manifest), builds the demo
+//     marketplace, attaches a write-ahead journal with per-record fsync
+//     (so a SIGKILL loses nothing that was acknowledged), enables
+//     cadence checkpointing, and feeds a deterministic stream of N
+//     sales. Meant to be killed mid-run.
 //
 //   recovery_drill --journal=PATH --recover --requests=N [--seed=S]
 //     Restores a fresh marketplace from the checkpoint chain + journal
@@ -21,7 +23,8 @@
 // product shard owns its journal + snapshot chain under
 // `DIR/shards/product-NNN/`, sales round-robin across products, and
 // the recover half restores every shard and byte-compares each against
-// its own deterministic oracle. `--corrupt-newest-snapshot=PRODUCT`
+// its own deterministic oracle (the serve half clears each shard's
+// chain first, as the single-journal one does). `--corrupt-newest-snapshot=PRODUCT`
 // flips a byte in that shard's newest snapshot before the restart, so
 // CI can assert the damaged shard falls down the recovery ladder
 // (previous snapshot / full replay) while the untouched shards restore
@@ -130,7 +133,16 @@ Status FeedOne(Marketplace& market, int64_t i) {
       .status();
 }
 
+// A serve run starts clean: stale segments or snapshots from an earlier
+// run would otherwise reach the recover half's restore.
+void RemoveRecoveryFiles(const std::string& journal_path) {
+  for (const std::string& file : nimbus::market::RecoveryFiles(journal_path)) {
+    std::remove(file.c_str());
+  }
+}
+
 int Serve(const std::string& path, int requests, uint64_t seed) {
+  RemoveRecoveryFiles(path);
   Marketplace market = MakeMarket(seed);
   Journal::Options journal_options;
   // Per-record fsync: a SIGKILL (or power cut) can tear at most the
@@ -260,6 +272,9 @@ void PopulateCatalog(Catalog& catalog, int num_shards, uint64_t seed) {
 
 int ServeSharded(const std::string& root, int num_shards, int requests,
                  uint64_t seed) {
+  for (int p = 0; p < num_shards; ++p) {
+    RemoveRecoveryFiles(root + "/shards/" + ProductName(p) + "/journal");
+  }
   Catalog catalog(DrillCatalogOptions(root, num_shards, requests));
   PopulateCatalog(catalog, num_shards, seed);
   std::printf("serving %d sales round-robin over %d shards under %s\n",

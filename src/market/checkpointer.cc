@@ -1,5 +1,7 @@
 #include "market/checkpointer.h"
 
+#include <dirent.h>
+
 #include <cstdio>
 #include <utility>
 
@@ -104,8 +106,14 @@ StatusOr<int64_t> Checkpointer::Commit(snapshot::State state,
   telemetry::ScopedTimer timer(CheckpointLatency());
   const int64_t generation = stats_.last_generation + 1;
   state.generation = generation;
-  const std::string file = snapshot::SnapshotPath(journal_path_, generation);
-  const StatusOr<int64_t> bytes = snapshot::Write(file, state);
+  // The snapshot counts rows [0, state.sequence) that only the journal
+  // holds, so they reach the disk before the snapshot can land.
+  const Status synced = journal != nullptr ? journal->Sync() : OkStatus();
+  const StatusOr<int64_t> bytes =
+      synced.ok()
+          ? snapshot::Write(snapshot::SnapshotPath(journal_path_, generation),
+                            state)
+          : StatusOr<int64_t>(synced);
   if (!bytes.ok()) {
     ++stats_.failures;
     CheckpointFailuresCounter().Increment();
@@ -126,24 +134,19 @@ StatusOr<int64_t> Checkpointer::Commit(snapshot::State state,
                          << manifest_status.message()
                          << "); recovery will rely on the directory scan";
   }
-  // Rotate down to the PREVIOUS generation's sequence so the live
-  // segment still serves the fallback rung (class comment). At G=1
-  // that base is 0 — Rotate is then a no-op on an unrotated J1 file.
-  const int64_t rotate_base = stats_.last_sequence;
-  const int64_t prev_sequence = stats_.last_sequence;
   if (journal != nullptr) {
-    const Status rotated = journal->Rotate(rotate_base);
-    if (rotated.ok()) {
-      if (rotate_base > 0) {
+    const int64_t live_base = journal->base_sequence();
+    const Status sealed = journal->Seal(state.sequence);
+    if (sealed.ok()) {
+      if (live_base < state.sequence) {
         RotationsCounter().Increment();
       }
     } else {
       ++stats_.rotation_failures;
       RotationFailuresCounter().Increment();
       NIMBUS_LOG(kWarning) << "checkpoint generation " << generation
-                           << ": journal rotation failed ("
-                           << rotated.message()
-                           << "); replay stays longer but correct";
+                           << ": journal seal failed (" << sealed.message()
+                           << "); the live segment keeps its rows";
     }
     JournalLiveBytesGauge().Set(static_cast<double>(journal->live_bytes()));
   }
@@ -158,12 +161,30 @@ StatusOr<int64_t> Checkpointer::Commit(snapshot::State state,
   }
   ++stats_.checkpoints;
   stats_.last_generation = generation;
-  stats_.prev_sequence = prev_sequence;
+  stats_.prev_sequence = stats_.last_sequence;
   stats_.last_sequence = state.sequence;
   CheckpointsCounter().Increment();
   LastGenerationGauge().Set(static_cast<double>(generation));
   LastBytesGauge().Set(static_cast<double>(*bytes));
   return generation;
+}
+
+std::vector<std::string> RecoveryFiles(const std::string& journal_path) {
+  // `prefix` keeps the trailing slash; npos + 1 wraps to 0.
+  const size_t slash = journal_path.find_last_of('/');
+  const std::string prefix = journal_path.substr(0, slash + 1);
+  const std::string name = journal_path.substr(slash + 1);
+  std::vector<std::string> files;
+  if (DIR* dir = ::opendir(prefix.empty() ? "." : prefix.c_str())) {
+    while (const dirent* entry = ::readdir(dir)) {
+      const std::string found = entry->d_name;
+      if (found == name || found.rfind(name + ".", 0) == 0) {
+        files.push_back(prefix + found);
+      }
+    }
+    ::closedir(dir);
+  }
+  return files;
 }
 
 }  // namespace nimbus::market

@@ -1,11 +1,14 @@
 #include "market/journal.h"
 
+#include <dirent.h>
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/fault.h"
@@ -15,8 +18,8 @@ namespace nimbus::market {
 namespace {
 
 constexpr char kMagic[8] = {'N', 'I', 'M', 'B', 'U', 'S', 'J', '1'};
-// Rotated-segment magic: followed by u64 base_sequence + u32 crc32 of
-// those 8 bytes (see the class comment).
+// Segment magic: followed by u64 base_sequence + u32 crc32 of those 8
+// bytes (see the class comment).
 constexpr char kMagic2[8] = {'N', 'I', 'M', 'B', 'U', 'S', 'J', '2'};
 constexpr size_t kSegmentHeaderExtra = 12;  // u64 base + u32 crc.
 constexpr size_t kRecordHeaderBytes = 8;    // u32 length + u32 crc.
@@ -34,13 +37,20 @@ void AppendScalar(std::string& out, T value) {
 }
 
 template <typename T>
-bool ReadScalar(const std::string& in, size_t& offset, T* value) {
+bool ReadScalar(std::string_view in, size_t& offset, T* value) {
   if (in.size() - offset < sizeof(T)) {
     return false;
   }
   std::memcpy(value, in.data() + offset, sizeof(T));
   offset += sizeof(T);
   return true;
+}
+
+// Frames one record: u32 length | u32 crc | payload.
+void AppendRecord(std::string& out, std::string_view payload, uint32_t crc) {
+  AppendScalar(out, static_cast<uint32_t>(payload.size()));
+  AppendScalar(out, crc);
+  AppendRaw(out, payload.data(), payload.size());
 }
 
 // The segment header bytes for a file whose first record has
@@ -58,14 +68,17 @@ std::string SegmentHeader(int64_t base_sequence) {
   return header;
 }
 
+std::string DirName(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  if (slash == std::string::npos) {
+    return ".";
+  }
+  return slash == 0 ? "/" : path.substr(0, slash);
+}
+
 // Makes a rename in the journal's directory durable.
 Status SyncParentDir(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const std::string dir =
-      slash == std::string::npos
-          ? "."
-          : (slash == 0 ? "/" : path.substr(0, slash));
-  const int fd = ::open(dir.c_str(), O_RDONLY);
+  const int fd = ::open(DirName(path).c_str(), O_RDONLY);
   if (fd < 0) {
     return InternalError("cannot open parent directory of '" + path +
                          "' for fsync");
@@ -78,9 +91,84 @@ Status SyncParentDir(const std::string& path) {
   return OkStatus();
 }
 
+bool FileExists(const std::string& path) {
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0;
+}
+
+// Writes `bytes` to a fresh `path` and fsyncs it. With `inject` set (an
+// armed ENOSPC drill) only the first half lands before the write fails
+// errno-style.
+Status WriteSynced(const std::string& path, const std::string& bytes,
+                   bool inject) {
+  std::FILE* out = std::fopen(path.c_str(), "wb");
+  if (out == nullptr) {
+    return InternalError("cannot open '" + path + "' for writing");
+  }
+  const size_t to_write = inject ? bytes.size() / 2 : bytes.size();
+  if (std::fwrite(bytes.data(), 1, to_write, out) != to_write ||
+      std::fflush(out) != 0 || ::fsync(fileno(out)) != 0 || inject) {
+    std::fclose(out);
+    return InternalError("cannot write '" + path + "'" +
+                         (inject ? ": No space left on device (injected)"
+                                 : ""));
+  }
+  if (std::fclose(out) != 0) {
+    return InternalError("fclose failed on '" + path + "'");
+  }
+  return OkStatus();
+}
+
+// One segment of the chain ReadRange stitches. Sealed segments are
+// replayed only once selected; the live and legacy `.prev` files are
+// replayed up front, because only their headers know their bases.
+struct Segment {
+  std::string path;
+  int64_t base = 0;
+  bool sealed = false;
+  bool loaded = false;
+  bool headerless = false;
+  std::vector<LedgerEntry> rows;
+};
+
+// Replays one segment and checks that its rows are dense from its
+// header's base. `segment.headerless` marks a live or `.prev` file with
+// no valid header yet (a crash right after creating it): it holds no
+// rows and no base.
+Status LoadSegment(Segment& segment, bool heal_torn_tail) {
+  Journal::RecoveryReport report;
+  Journal::ReplayOptions options;
+  options.strict = segment.sealed;
+  options.truncate_torn_tail = heal_torn_tail;
+  NIMBUS_ASSIGN_OR_RETURN(segment.rows,
+                          Journal::Replay(segment.path, &report, options));
+  if (segment.sealed && report.tail != Journal::TailState::kClean) {
+    return InternalError("sealed journal segment '" + segment.path +
+                         "' is damaged: " + report.detail);
+  }
+  if (segment.sealed && report.base_sequence != segment.base) {
+    return InternalError("sealed journal segment '" + segment.path +
+                         "' has header base " +
+                         std::to_string(report.base_sequence));
+  }
+  segment.base = report.base_sequence;
+  segment.headerless = report.valid_bytes == 0;
+  for (size_t i = 0; i < segment.rows.size(); ++i) {
+    if (segment.rows[i].sequence != segment.base + static_cast<int64_t>(i)) {
+      return InternalError(
+          "journal segment '" + segment.path + "' holds sequence " +
+          std::to_string(segment.rows[i].sequence) + " where " +
+          std::to_string(segment.base + static_cast<int64_t>(i)) +
+          " belongs");
+    }
+  }
+  segment.loaded = true;
+  return OkStatus();
+}
+
 }  // namespace
 
-StatusOr<LedgerEntry> Journal::DecodePayload(const std::string& payload) {
+StatusOr<LedgerEntry> Journal::DecodePayload(std::string_view payload) {
   LedgerEntry entry;
   size_t offset = 0;
   uint8_t kind = 0;
@@ -107,7 +195,7 @@ StatusOr<LedgerEntry> Journal::DecodePayload(const std::string& payload) {
   if (payload.size() - offset != buyer_len) {
     return InvalidArgumentError("journal payload buyer-id length mismatch");
   }
-  entry.buyer_id = payload.substr(offset, buyer_len);
+  entry.buyer_id = std::string(payload.substr(offset, buyer_len));
   return entry;
 }
 
@@ -152,12 +240,10 @@ StatusOr<Journal> Journal::Open(const std::string& path, Options options) {
   bool needs_header = true;
   int64_t base_sequence = options.create_base_sequence;
   int64_t existing_bytes = 0;
-  {
-    std::ifstream probe(path, std::ios::binary);
-    if (probe) {
-      probe.seekg(0, std::ios::end);
-      existing_bytes = static_cast<int64_t>(probe.tellg());
-    }
+  int64_t existing_records = 0;
+  struct stat st;
+  if (::stat(path.c_str(), &st) == 0) {
+    existing_bytes = static_cast<int64_t>(st.st_size);
   }
   if (existing_bytes > 0) {
     // Structurally validate the whole file before appending: a previous
@@ -179,6 +265,7 @@ StatusOr<Journal> Journal::Open(const std::string& path, Options options) {
     }
     needs_header = false;
     base_sequence = report.base_sequence;
+    existing_records = report.recovered_records;
   }
   std::FILE* file = std::fopen(path.c_str(), "ab");
   if (file == nullptr) {
@@ -187,6 +274,7 @@ StatusOr<Journal> Journal::Open(const std::string& path, Options options) {
   }
   Journal journal(path, options, file);
   journal.base_sequence_ = base_sequence;
+  journal.next_sequence_ = base_sequence + existing_records;
   journal.live_bytes_.store(existing_bytes, std::memory_order_relaxed);
   if (needs_header) {
     const std::string header = SegmentHeader(base_sequence);
@@ -209,6 +297,7 @@ Journal::Journal(Journal&& other) noexcept
       options_(other.options_),
       file_(other.file_),
       base_sequence_(other.base_sequence_),
+      next_sequence_(other.next_sequence_),
       live_bytes_(other.live_bytes_.load(std::memory_order_relaxed)),
       buffered_sequence_(other.buffered_sequence_),
       buffered_payload_size_(other.buffered_payload_size_),
@@ -227,6 +316,7 @@ Journal& Journal::operator=(Journal&& other) noexcept {
     options_ = other.options_;
     file_ = other.file_;
     base_sequence_ = other.base_sequence_;
+    next_sequence_ = other.next_sequence_;
     live_bytes_.store(other.live_bytes_.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
     buffered_sequence_ = other.buffered_sequence_;
@@ -297,9 +387,7 @@ Status Journal::Append(const LedgerEntry& entry,
   } else {
     std::string record;
     record.reserve(kRecordHeaderBytes + payload.size());
-    AppendScalar(record, static_cast<uint32_t>(payload.size()));
-    AppendScalar(record, payload_crc);
-    AppendRaw(record, payload.data(), payload.size());
+    AppendRecord(record, payload, payload_crc);
     size_t to_write = record.size();
     if (inject.fire) {
       // Injected ENOSPC (kEnospc mode): emulate a full disk — only the
@@ -321,6 +409,7 @@ Status Journal::Append(const LedgerEntry& entry,
     buffered_sequence_ = entry.sequence;
     buffered_payload_size_ = static_cast<uint32_t>(payload.size());
     buffered_payload_crc_ = payload_crc;
+    next_sequence_ = entry.sequence + 1;
     // Counted at buffering: even when the flush below fails, the bytes
     // are in the write buffer and will reach the file.
     live_bytes_.fetch_add(static_cast<int64_t>(record.size()),
@@ -394,7 +483,25 @@ void Journal::Discard() {
   poisoned_ = true;  // Belt and braces: this handle must never append again.
 }
 
-Status Journal::Rotate(int64_t new_base_sequence) {
+Status Journal::Sync() {
+  if (mu_ == nullptr) {  // Moved-from shell.
+    return FailedPreconditionError("journal '" + path_ + "' is closed");
+  }
+  std::lock_guard<prof::ProfiledMutex> lock(*mu_);
+  return SyncLocked();
+}
+
+Status Journal::SyncLocked() {
+  if (file_ == nullptr) {
+    return FailedPreconditionError("journal '" + path_ + "' is closed");
+  }
+  if (std::fflush(file_) != 0 || ::fsync(fileno(file_)) != 0) {
+    return InternalError("cannot sync journal '" + path_ + "'");
+  }
+  return OkStatus();
+}
+
+Status Journal::Seal(int64_t next_base) {
   if (mu_ == nullptr) {  // Moved-from shell.
     return FailedPreconditionError("journal '" + path_ + "' is closed");
   }
@@ -405,103 +512,58 @@ Status Journal::Rotate(int64_t new_base_sequence) {
   if (poisoned_) {
     return FailedPreconditionError(
         "journal '" + path_ + "' poisoned by an earlier short write; "
-        "recover before rotating");
+        "recover before sealing");
   }
-  if (new_base_sequence < base_sequence_) {
-    return InvalidArgumentError(
-        "cannot rotate journal '" + path_ + "' backwards (base " +
-        std::to_string(base_sequence_) + " -> " +
-        std::to_string(new_base_sequence) + ")");
+  if (next_base != next_sequence_) {
+    return FailedPreconditionError(
+        "cannot seal journal '" + path_ + "' at sequence " +
+        std::to_string(next_base) + ": its records end at " +
+        std::to_string(next_sequence_));
   }
-  NIMBUS_RETURN_IF_ERROR(FlushLocked());
   const fault::Injection inject = fault::Check("journal.rotate");
   if (inject.fire && inject.mode == fault::Mode::kStatus) {
     return InternalError("fault injected at 'journal.rotate'");
   }
-  if (new_base_sequence == base_sequence_) {
-    return OkStatus();  // Nothing to truncate.
+  if (next_base == base_sequence_) {
+    return OkStatus();  // No records to seal.
   }
-  // Re-read the (flushed) live segment and keep only the tail. Strict
-  // replay: Open validated the file and every append since was CRC'd,
-  // so any damage found here is fresh bit rot — refuse to rotate it
-  // away. Re-encoding reproduces the original record bytes exactly
-  // (fixed-width raw fields), so surviving records keep their CRCs.
-  RecoveryReport report;
-  ReplayOptions scan;
-  scan.strict = true;
-  scan.truncate_torn_tail = false;
-  NIMBUS_ASSIGN_OR_RETURN(const std::vector<LedgerEntry> entries,
-                          Replay(path_, &report, scan));
-  if (report.tail != TailState::kClean) {
-    return InternalError("journal '" + path_ +
-                         "' has an invalid tail mid-rotation: " +
-                         report.detail);
+  NIMBUS_RETURN_IF_ERROR(SyncLocked());
+  const std::string sealed = SealedSegmentPath(path_, base_sequence_);
+  if (FileExists(sealed)) {
+    return FailedPreconditionError("sealed journal segment '" + sealed +
+                                   "' already exists");
   }
-  std::string image = SegmentHeader(new_base_sequence);
-  for (const LedgerEntry& entry : entries) {
-    if (entry.sequence < new_base_sequence) {
-      continue;
-    }
-    const std::string payload = EncodePayload(entry);
-    AppendScalar(image, static_cast<uint32_t>(payload.size()));
-    AppendScalar(image, Crc32(payload.data(), payload.size()));
-    AppendRaw(image, payload.data(), payload.size());
-  }
-  const std::string tmp = path_ + ".rotate.tmp";
-  {
-    std::FILE* out = std::fopen(tmp.c_str(), "wb");
-    if (out == nullptr) {
-      return InternalError("cannot open '" + tmp + "' for rotation");
-    }
-    size_t to_write = image.size();
-    if (inject.fire) {
-      // Injected ENOSPC (kEnospc mode): the rotated segment runs out of
-      // disk halfway, leaving a partial .rotate.tmp behind. The live
-      // segment is untouched and stays appendable — rotation failure is
-      // absorbed upstream as a retryable rotation_failure.
-      to_write = image.size() / 2;
-    }
-    if (std::fwrite(image.data(), 1, to_write, out) != to_write ||
-        std::fflush(out) != 0 || ::fsync(fileno(out)) != 0 || inject.fire) {
-      std::fclose(out);
-      const std::string detail =
-          inject.fire ? ": No space left on device (injected)" : "";
-      return InternalError("cannot write rotated segment '" + tmp + "'" +
-                           detail);
-    }
-    if (std::fclose(out) != 0) {
-      return InternalError("fclose failed on '" + tmp + "'");
-    }
-  }
-  // Swap the filtered segment in. The retained predecessor (.prev) is
-  // the fallback recovery rung's tail; a crash between the two renames
-  // leaves only .prev, which restore treats as the live segment.
-  const std::string prev = path_ + ".prev";
-  if (std::rename(path_.c_str(), prev.c_str()) != 0) {
-    return InternalError("cannot retire '" + path_ + "' to '" + prev + "'");
+  // The fresh segment's header lands before anything is renamed, so a
+  // failed write (an injected ENOSPC writes half of it) leaves the live
+  // segment untouched.
+  const std::string header = SegmentHeader(next_base);
+  const std::string tmp = path_ + ".seal.tmp";
+  NIMBUS_RETURN_IF_ERROR(WriteSynced(tmp, header, inject.fire));
+  if (std::rename(path_.c_str(), sealed.c_str()) != 0) {
+    return InternalError("cannot seal '" + path_ + "' as '" + sealed + "'");
   }
   if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
     // Best-effort rollback so the live path does not stay missing.
-    if (std::rename(prev.c_str(), path_.c_str()) != 0) {
+    if (std::rename(sealed.c_str(), path_.c_str()) != 0) {
       poisoned_ = true;
-      return InternalError("rotation of '" + path_ +
+      return InternalError("seal of '" + path_ +
                            "' failed mid-swap and could not roll back; "
-                           "recover from '" + prev + "'");
+                           "restore reads '" + sealed + "'");
     }
-    return InternalError("cannot install rotated segment over '" + path_ +
+    return InternalError("cannot install a fresh segment at '" + path_ +
                          "'");
   }
   NIMBUS_RETURN_IF_ERROR(SyncParentDir(path_));
-  // The old handle still points at the retired inode; reopen the live
-  // segment for appending.
+  // The old handle still points at the sealed inode; reopen the fresh
+  // live segment for appending.
   std::fclose(file_);
   file_ = std::fopen(path_.c_str(), "ab");
   if (file_ == nullptr) {
     poisoned_ = true;
-    return InternalError("cannot re-open rotated journal '" + path_ + "'");
+    return InternalError("cannot re-open sealed journal '" + path_ + "'");
   }
-  base_sequence_ = new_base_sequence;
-  live_bytes_.store(static_cast<int64_t>(image.size()),
+  base_sequence_ = next_base;
+  live_bytes_.store(static_cast<int64_t>(header.size()),
                     std::memory_order_relaxed);
   buffered_sequence_ = -1;
   return OkStatus();
@@ -523,13 +585,31 @@ StatusOr<std::vector<LedgerEntry>> Journal::Replay(const std::string& path,
   std::string bytes;
   {
     FAULT_POINT("io.read");
-    std::ifstream file(path, std::ios::binary);
-    if (!file) {
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0) {
       return NotFoundError("cannot open journal '" + path + "'");
     }
-    std::ostringstream content;
-    content << file.rdbuf();
-    bytes = std::move(content).str();
+    struct stat st;
+    if (::fstat(fd, &st) == 0) {
+      bytes.resize(static_cast<size_t>(st.st_size));
+    }
+    size_t filled = 0;
+    while (filled < bytes.size()) {
+      const ssize_t n = ::read(fd, bytes.data() + filled, bytes.size() - filled);
+      if (n < 0 && errno == EINTR) {
+        continue;
+      }
+      if (n < 0) {
+        ::close(fd);
+        return InternalError("read error on journal '" + path + "'");
+      }
+      if (n == 0) {
+        break;  // The file shrank under us: replay the shorter file.
+      }
+      filled += static_cast<size_t>(n);
+    }
+    ::close(fd);
+    bytes.resize(filled);
   }
 
   std::vector<LedgerEntry> entries;
@@ -547,7 +627,7 @@ StatusOr<std::vector<LedgerEntry>> Journal::Replay(const std::string& path,
     offset = sizeof(kMagic);
     scan_records = true;
   } else if (std::memcmp(bytes.data(), kMagic2, sizeof(kMagic2)) == 0) {
-    // Rotated segment: the base sequence rides in the header, CRC'd so
+    // J2 segment: the base sequence rides in the header, CRC'd so
     // a bit flip there cannot silently renumber the whole tail.
     if (bytes.size() < sizeof(kMagic2) + kSegmentHeaderExtra) {
       rep.tail = TailState::kTorn;
@@ -594,7 +674,8 @@ StatusOr<std::vector<LedgerEntry>> Journal::Replay(const std::string& path,
         rep.detail = "partial record payload at byte " + std::to_string(offset);
         break;
       }
-      const std::string payload = bytes.substr(cursor, length);
+      const std::string_view payload =
+          std::string_view(bytes).substr(cursor, length);
       const uint32_t actual = Crc32(payload.data(), payload.size());
       if (actual != crc) {
         rep.tail = TailState::kCorrupt;
@@ -638,6 +719,178 @@ StatusOr<std::vector<LedgerEntry>> Journal::Replay(const std::string& path,
                          << rep.detail << ")";
   }
   return entries;
+}
+
+std::string Journal::SealedSegmentPath(const std::string& path,
+                                       int64_t base) {
+  char suffix[32];
+  std::snprintf(suffix, sizeof(suffix), ".seg.%012lld",
+                static_cast<long long>(base));
+  return path + suffix;
+}
+
+std::vector<int64_t> Journal::SealedSegments(const std::string& path) {
+  std::vector<int64_t> bases;
+  const size_t slash = path.find_last_of('/');
+  const std::string prefix =
+      (slash == std::string::npos ? path : path.substr(slash + 1)) + ".seg.";
+  if (DIR* dir = ::opendir(DirName(path).c_str())) {
+    while (const dirent* entry = ::readdir(dir)) {
+      const std::string name = entry->d_name;
+      if (name.size() > prefix.size() && name.rfind(prefix, 0) == 0 &&
+          name.find_first_not_of("0123456789", prefix.size()) ==
+              std::string::npos) {  // Skips `.tmp` leftovers.
+        bases.push_back(std::strtoll(name.c_str() + prefix.size(), nullptr,
+                                     10));
+      }
+    }
+    ::closedir(dir);
+  }
+  std::sort(bases.begin(), bases.end());
+  return bases;
+}
+
+StatusOr<std::vector<LedgerEntry>> Journal::ReadRange(const std::string& path,
+                                                      int64_t from,
+                                                      int64_t end,
+                                                      bool heal_live_tail) {
+  if (from < 0 || end < from) {
+    return InvalidArgumentError("invalid journal row range [" +
+                                std::to_string(from) + ", " +
+                                std::to_string(end) + ")");
+  }
+  Segment live;
+  live.path = path;
+  live.headerless = !FileExists(path);
+  if (!live.headerless) {
+    NIMBUS_RETURN_IF_ERROR(LoadSegment(live, heal_live_tail));
+  }
+  std::vector<Segment> chain;
+  // The live segment alone serves a read at or past its base — a
+  // restore's tail in the steady state — so only a read reaching below
+  // it lists the directory for sealed segments.
+  if (live.headerless || live.base > from) {
+    for (const int64_t base : SealedSegments(path)) {
+      Segment& segment = chain.emplace_back();
+      segment.path = SealedSegmentPath(path, base);
+      segment.base = base;
+      segment.sealed = true;
+    }
+    Segment prev;
+    prev.path = path + ".prev";
+    if (FileExists(prev.path)) {
+      NIMBUS_RETURN_IF_ERROR(LoadSegment(prev, false));
+      if (!prev.headerless) {
+        chain.push_back(std::move(prev));
+      }
+    }
+  }
+  if (!live.headerless) {
+    chain.push_back(std::move(live));
+  }
+  if (chain.empty()) {
+    return NotFoundError("no journal segment at '" + path + "'");
+  }
+  // Stable: on a tied base the later kind (live over `.prev` over
+  // sealed) wins below.
+  std::stable_sort(chain.begin(), chain.end(),
+                   [](const Segment& a, const Segment& b) {
+                     return a.base < b.base;
+                   });
+  std::vector<LedgerEntry> rows;
+  int64_t cursor = from;
+  for (size_t i = 0; i < chain.size() && cursor < end; ++i) {
+    if (i + 1 < chain.size() && chain[i + 1].base <= cursor) {
+      continue;  // A later segment already holds the cursor's row.
+    }
+    Segment& segment = chain[i];
+    if (segment.base > cursor) {
+      return InternalError("journal rows from sequence " +
+                           std::to_string(cursor) + " are missing: '" +
+                           segment.path + "' starts at " +
+                           std::to_string(segment.base));
+    }
+    if (!segment.loaded) {
+      NIMBUS_RETURN_IF_ERROR(LoadSegment(segment, false));
+    }
+    const int64_t segment_end =
+        segment.base + static_cast<int64_t>(segment.rows.size());
+    if (segment_end < cursor) {
+      return InternalError("journal '" + segment.path + "' ends at sequence " +
+                           std::to_string(segment_end) + ", before " +
+                           std::to_string(cursor));
+    }
+    const int64_t stop = std::min(segment_end, end);
+    rows.insert(rows.end(),
+                std::make_move_iterator(segment.rows.begin() +
+                                        (cursor - segment.base)),
+                std::make_move_iterator(segment.rows.begin() +
+                                        (stop - segment.base)));
+    cursor = stop;
+  }
+  return rows;
+}
+
+Status Journal::UpgradeLegacySegments(
+    const std::string& path, const std::vector<LedgerEntry>& legacy_rows) {
+  const std::string prev = path + ".prev";
+  if (legacy_rows.empty() && !FileExists(prev)) {
+    return OkStatus();  // A sealed chain: nothing to move.
+  }
+  const bool live_exists = FileExists(path);
+  if (!live_exists && FileExists(prev)) {
+    // A crash between format 2's Rotate renames left `.prev` as the
+    // whole live segment: seal it as it stands.
+    RecoveryReport report;
+    NIMBUS_RETURN_IF_ERROR(Replay(prev, &report).status());
+    const std::string sealed = SealedSegmentPath(path, report.base_sequence);
+    if (std::rename(prev.c_str(), sealed.c_str()) != 0) {
+      return InternalError("cannot seal '" + prev + "' as '" + sealed + "'");
+    }
+    NIMBUS_RETURN_IF_ERROR(SyncParentDir(path));
+  }
+  std::vector<int64_t> sealed = SealedSegments(path);
+  int64_t first_base = sealed.empty() ? kToEnd : sealed.front();
+  if (live_exists && first_base > 0) {
+    RecoveryReport report;
+    ReplayOptions read_only;
+    read_only.truncate_torn_tail = false;
+    NIMBUS_RETURN_IF_ERROR(Replay(path, &report, read_only).status());
+    first_base = std::min(first_base, report.base_sequence);
+  }
+  if (first_base > 0 && first_base != kToEnd && !legacy_rows.empty()) {
+    if (static_cast<int64_t>(legacy_rows.size()) < first_base) {
+      return InternalError(
+          "format-2 snapshot rows end at " +
+          std::to_string(legacy_rows.size()) + ", below the first journal "
+          "segment's base " + std::to_string(first_base));
+    }
+    std::string image = SegmentHeader(0);
+    for (int64_t i = 0; i < first_base; ++i) {
+      const LedgerEntry& row = legacy_rows[static_cast<size_t>(i)];
+      if (row.sequence != i) {
+        return InternalError("format-2 snapshot row " + std::to_string(i) +
+                             " carries sequence " +
+                             std::to_string(row.sequence));
+      }
+      const std::string payload = EncodePayload(row);
+      AppendRecord(image, payload, Crc32(payload.data(), payload.size()));
+    }
+    const std::string target = SealedSegmentPath(path, 0);
+    NIMBUS_RETURN_IF_ERROR(WriteSynced(target + ".tmp", image, false));
+    if (std::rename((target + ".tmp").c_str(), target.c_str()) != 0) {
+      return InternalError("cannot install '" + target + "'");
+    }
+    NIMBUS_RETURN_IF_ERROR(SyncParentDir(path));
+    sealed.insert(sealed.begin(), 0);
+  }
+  // With the chain sealed from 0, `.prev` only repeats rows that sealed
+  // segments and the live segment hold.
+  if (live_exists && !sealed.empty() && sealed.front() == 0 &&
+      FileExists(prev) && std::remove(prev.c_str()) != 0) {
+    return InternalError("cannot remove '" + prev + "'");
+  }
+  return OkStatus();
 }
 
 }  // namespace nimbus::market

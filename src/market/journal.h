@@ -2,10 +2,12 @@
 #define NIMBUS_MARKET_JOURNAL_H_
 
 #include <atomic>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/profiler.h"
@@ -29,15 +31,21 @@ namespace nimbus::market {
 // mid-append) or corruption (a full-length record whose CRC or encoding
 // is wrong).
 //
-// Rotated segments (produced by Rotate after a checkpoint truncates
-// history) carry the "NIMBUSJ2" magic followed by
+// Sealed segments carry the "NIMBUSJ2" magic followed by
 //
 //   u64 base_sequence | u32 crc32(base_sequence)
 //
-// before the first record: the segment holds only records with
-// sequence >= base_sequence, the earlier prefix being covered by a
-// snapshot (market/snapshot.h). A J1 file is simply a segment with base
-// sequence 0; both magics replay through the same code path.
+// before the first record: the segment holds the records with sequence
+// >= base_sequence. A J1 file is simply a segment with base sequence 0;
+// both magics replay through the same code path.
+//
+// A journal is a chain of segments. `path` is the live segment, the
+// only one appended to. Each checkpoint seals it (Seal): the file is
+// fsynced and renamed to `<path>.seg.<base>`, and a fresh live segment
+// starts at the checkpoint's sequence. Sealed segments are the audit
+// trail — snapshots (market/snapshot.h) hold aggregates only — so they
+// are never pruned. ReadRange stitches rows [from, end) back together
+// across the chain.
 class Journal {
  public:
   // When to force bytes to stable storage.
@@ -113,23 +121,31 @@ class Journal {
   // Idempotent.
   void Discard();
 
-  // Rotates this journal after a checkpoint: rewrites the live file so
-  // it holds only records with sequence >= `new_base_sequence` under a
-  // J2 segment header, renaming the pre-rotation file to `path + ".prev"`
-  // (one retained predecessor segment — the fallback rung's tail) before
-  // atomically installing the filtered segment. The journal stays open
-  // for appending throughout; a failed rotation leaves the original file
-  // intact and appendable. Fault point: `journal.rotate`.
-  Status Rotate(int64_t new_base_sequence);
+  // Flushes and fsyncs the live segment whatever the FsyncPolicy: the
+  // checkpointer calls it before a snapshot lands, so every row the
+  // snapshot counts is durable first.
+  Status Sync();
+
+  // Seals the live segment at `next_base`, the sequence a checkpoint
+  // just covered: fsyncs it, renames it to SealedSegmentPath(path,
+  // base_sequence()), and installs a fresh live segment whose J2 header
+  // carries `next_base`. The fresh header is written (to `<path>
+  // .seal.tmp`) before anything is renamed, so a failure — including
+  // ENOSPC — leaves the live segment intact and appendable. A crash
+  // between the two renames leaves no live segment; restore reads the
+  // sealed one and re-creates the live file. No-op when the live
+  // segment holds no records. `next_base` must be exactly the sequence
+  // after the last appended record. Fault point: `journal.rotate`.
+  Status Seal(int64_t next_base);
 
   const std::string& path() const { return path_; }
 
-  // First sequence this segment can hold (0 for an unrotated J1 file).
+  // First sequence the live segment holds (0 for a J1 file).
   int64_t base_sequence() const { return base_sequence_; }
 
   // Current size of the live segment in bytes (header + appended
-  // records, including any not-yet-flushed tail) — the checkpointer's
-  // bytes-cadence input.
+  // records, including any not-yet-flushed tail) — the
+  // `journal_live_bytes` gauge.
   int64_t live_bytes() const;
 
   // How a replay ended.
@@ -176,9 +192,49 @@ class Journal {
   // tests constructing hand-corrupted journals).
   static std::string EncodePayload(const LedgerEntry& entry);
 
-  // Inverse of EncodePayload (the snapshot's LEDG section shares the
-  // record codec).
-  static StatusOr<LedgerEntry> DecodePayload(const std::string& payload);
+  // Inverse of EncodePayload (the legacy snapshot LEDG section shares
+  // the record codec).
+  static StatusOr<LedgerEntry> DecodePayload(std::string_view payload);
+
+  // ----- The segment chain -----------------------------------------------
+  // `<path>.seg.<base>` (base zero-padded to 12 digits).
+  static std::string SealedSegmentPath(const std::string& path, int64_t base);
+
+  // Bases of the sealed segments on disk, ascending.
+  static std::vector<int64_t> SealedSegments(const std::string& path);
+
+  static constexpr int64_t kToEnd = INT64_MAX;
+
+  // The journal's rows [from, end), read across the sealed segments,
+  // the live segment and a legacy `<path>.prev` left by the rotating
+  // journal of snapshot format 2. Segments are taken in base order, and
+  // only those that can hold a row at or past `from` are opened, so a
+  // read from the newest checkpoint opens the live segment alone. Every
+  // segment must be dense from its header's base; segments may overlap
+  // (`.prev` does) but not leave a gap, and the chain must reach
+  // `from`. A sealed segment must replay clean: a torn or corrupt one
+  // fails the read with a Status naming the file, never a short result.
+  // The live segment replays leniently (its valid prefix), and
+  // `heal_live_tail` truncates a torn live tail the way Replay does —
+  // only the restore path, which owns the files, asks for it. kNotFound
+  // when no segment exists; a shorter chain than `end` returns what
+  // exists.
+  static StatusOr<std::vector<LedgerEntry>> ReadRange(
+      const std::string& path, int64_t from, int64_t end = kToEnd,
+      bool heal_live_tail = false);
+
+  // Moves a journal written under snapshot format 2 onto sealed
+  // segments. Format 2 rotated the live file down to the previous
+  // checkpoint and kept the history below it only in snapshot LEDG
+  // sections, plus one `.prev` file. This writes `legacy_rows` (a
+  // format-2 rung's LEDG log, rows [0, n)) below the chain's first base
+  // as `<path>.seg.0`, seals a `.prev` that a crash between Rotate's
+  // renames left as the only copy of the live rows, and deletes a
+  // `.prev` that sealed segments now cover. Run by restore before the
+  // journal re-attaches, so it lands before a format-3 checkpoint can
+  // prune the last format-2 snapshot. A no-op on a sealed chain.
+  static Status UpgradeLegacySegments(
+      const std::string& path, const std::vector<LedgerEntry>& legacy_rows);
 
  private:
   Journal(std::string path, Options options, std::FILE* file)
@@ -190,11 +246,16 @@ class Journal {
   // Flush body without taking mu_ (Append and Close call it while
   // already holding the lock).
   Status FlushLocked();
+  // Sync body without taking mu_ (Seal calls it while holding the lock).
+  Status SyncLocked();
 
   std::string path_;
   Options options_;
   std::FILE* file_ = nullptr;
   int64_t base_sequence_ = 0;
+  // Sequence after the last record buffered into the live segment —
+  // what Seal checks its `next_base` against.
+  int64_t next_sequence_ = 0;
   // Size of the live segment (header + records, buffered included),
   // maintained in-memory so the checkpointer's cadence check never
   // stats the file. Atomic so live_bytes() needs no lock.

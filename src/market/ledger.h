@@ -38,8 +38,9 @@ struct LedgerEntry {
 //
 // A ledger restored from a checkpoint may start UNHYDRATED: aggregates
 // and sequence counters are live, but the entry rows covered by the
-// snapshot are represented by a loader instead of being decoded up
-// front. That is what makes recovery O(delta): the timed restore path
+// snapshot are represented by a loader (which reads them from the
+// journal's sealed segments) instead of being decoded up front. That
+// is what makes recovery O(delta): the timed restore path
 // touches only the post-snapshot journal tail. Row-level audit queries
 // (entries(), ToCsv, EntriesForBuyer) require hydration;
 // Marketplace::RestoreFromCheckpoint hydrates eagerly by default and
@@ -74,7 +75,7 @@ class Ledger {
   // Detaches and returns the journal (e.g. to Close it explicitly).
   std::unique_ptr<Journal> DetachJournal();
   // The attached journal (nullptr when journaling is off) — the
-  // checkpointer rotates it after a successful snapshot.
+  // checkpointer syncs and seals it around each snapshot.
   Journal* journal() { return journal_.get(); }
   const Journal* journal() const { return journal_.get(); }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <utility>
 
@@ -44,22 +45,14 @@ telemetry::Histogram& RecoveryLatency() {
   return histogram;
 }
 
-bool FileExists(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return false;
-  }
-  std::fclose(file);
-  return true;
-}
-
-// A snapshot generation together with the journal tail past it, fully
+// A snapshot generation together with the journal rows it needs, fully
 // validated BEFORE any marketplace state mutates — the recovery ladder
 // rejects a candidate and falls back a rung without side effects.
 struct RestoreCandidate {
-  snapshot::State state;                  // Shallow (aggregates only).
-  std::vector<LedgerEntry> base_entries;  // Loaded iff options.hydrate.
-  std::vector<LedgerEntry> tail;          // Dense from state.sequence.
+  // Aggregates, plus the LEDG rows of a version-1 or -2 snapshot.
+  snapshot::State state;
+  std::vector<LedgerEntry> base_entries;  // Rows [0, sequence) iff hydrating.
+  std::vector<LedgerEntry> tail;          // Rows from state.sequence on.
 };
 
 Status CheckOffered(const std::map<ml::ModelKind, Broker>& brokers,
@@ -73,109 +66,25 @@ Status CheckOffered(const std::map<ml::ModelKind, Broker>& brokers,
   return OkStatus();
 }
 
-// Mirrors the invariants Ledger::ApplyRecovered and the monitor restore
-// hook enforce, so every checkable failure mode surfaces while
-// the candidate can still be rejected cleanly.
-Status ValidateTailEntry(const LedgerEntry& entry, int64_t expected_sequence) {
-  if (entry.sequence != expected_sequence) {
-    return InternalError(
-        "journal tail has a sequence gap: expected " +
-        std::to_string(expected_sequence) + ", found " +
-        std::to_string(entry.sequence));
-  }
+// Mirrors the field invariants Ledger::ApplyRecovered enforces, so
+// every checkable failure mode surfaces while the candidate can still be
+// rejected cleanly. Journal::ReadRange already checked density.
+Status ValidateJournalRow(const LedgerEntry& entry,
+                          const std::map<ml::ModelKind, Broker>& brokers) {
   if (entry.buyer_id.empty() || !std::isfinite(entry.inverse_ncp) ||
       entry.inverse_ncp <= 0.0 || !std::isfinite(entry.price) ||
       entry.price < 0.0 || !std::isfinite(entry.expected_error)) {
-    return InternalError("journal tail entry " +
-                         std::to_string(entry.sequence) +
+    return InternalError("journal entry " + std::to_string(entry.sequence) +
                          " fails field validation");
   }
-  return OkStatus();
-}
-
-// Collects the journal records with sequence >= `min_sequence`, merging
-// the live segment with the `.prev` segment a rotation (or a crash
-// inside one) may have left behind:
-//   - live segment base <= min_sequence: the live segment alone covers
-//     the tail (the steady state — rotation keeps the live base at the
-//     PREVIOUS checkpoint's sequence).
-//   - live base > min_sequence: the `.prev` segment must bridge
-//     [min_sequence, live_base).
-//   - live segment missing: a crash hit the window between Rotate's two
-//     renames; `.prev` (the complete pre-rotation file) is authoritative.
-// A torn live tail is truncated here (crash healing), so the later
-// re-attach Open() finds an append-clean file. Density is NOT checked
-// here — the caller validates the merged tail entry by entry.
-StatusOr<std::vector<LedgerEntry>> CollectTailEntries(
-    const std::string& journal_path, int64_t min_sequence) {
-  const std::string prev_path = journal_path + ".prev";
-  const bool live_exists = FileExists(journal_path);
-  const bool prev_exists = FileExists(prev_path);
-  std::vector<LedgerEntry> out;
-  if (live_exists) {
-    Journal::RecoveryReport live_report;
-    NIMBUS_ASSIGN_OR_RETURN(std::vector<LedgerEntry> live,
-                            Journal::Replay(journal_path, &live_report));
-    if (live_report.base_sequence > min_sequence) {
-      if (!prev_exists) {
-        return InternalError(
-            "live journal segment starts at sequence " +
-            std::to_string(live_report.base_sequence) +
-            " but the restore needs records from " +
-            std::to_string(min_sequence) + " and no .prev segment exists");
-      }
-      Journal::ReplayOptions read_only;
-      read_only.truncate_torn_tail = false;
-      Journal::RecoveryReport prev_report;
-      NIMBUS_ASSIGN_OR_RETURN(
-          std::vector<LedgerEntry> prev,
-          Journal::Replay(prev_path, &prev_report, read_only));
-      if (prev_report.base_sequence > min_sequence) {
-        return InternalError(
-            ".prev journal segment starts at sequence " +
-            std::to_string(prev_report.base_sequence) +
-            " and cannot bridge back to " + std::to_string(min_sequence));
-      }
-      for (LedgerEntry& entry : prev) {
-        if (entry.sequence >= min_sequence &&
-            entry.sequence < live_report.base_sequence) {
-          out.push_back(std::move(entry));
-        }
-      }
-    }
-    for (LedgerEntry& entry : live) {
-      if (entry.sequence >= min_sequence) {
-        out.push_back(std::move(entry));
-      }
-    }
-    return out;
-  }
-  if (prev_exists) {
-    Journal::ReplayOptions read_only;
-    read_only.truncate_torn_tail = false;
-    Journal::RecoveryReport prev_report;
-    NIMBUS_ASSIGN_OR_RETURN(
-        std::vector<LedgerEntry> prev,
-        Journal::Replay(prev_path, &prev_report, read_only));
-    if (prev_report.base_sequence > min_sequence) {
-      return InternalError(
-          "live journal segment is missing and the .prev segment starts "
-          "at sequence " +
-          std::to_string(prev_report.base_sequence) +
-          ", past the needed " + std::to_string(min_sequence));
-    }
-    for (LedgerEntry& entry : prev) {
-      if (entry.sequence >= min_sequence) {
-        out.push_back(std::move(entry));
-      }
-    }
-  }
-  return out;  // Neither file: empty tail (caller decides if that's OK).
+  return CheckOffered(brokers, entry.model, "journal");
 }
 
 // Validates one snapshot generation end to end (structure, model kinds,
-// accumulator sanity, journal-tail coverage and density) without
-// touching marketplace state.
+// accumulator sanity, journal coverage and density) without touching
+// marketplace state. Only a hydrating restore reads the journal from 0;
+// otherwise just the segments holding rows at or past the snapshot are
+// opened.
 StatusOr<RestoreCandidate> BuildCandidate(
     const std::string& snapshot_file, const std::string& journal_path,
     bool hydrate, const std::map<ml::ModelKind, Broker>& brokers) {
@@ -204,20 +113,35 @@ StatusOr<RestoreCandidate> BuildCandidate(
     NIMBUS_RETURN_IF_ERROR(
         CheckOffered(brokers, kind, "snapshot sales aggregate"));
   }
+  const int64_t covered = candidate.state.sequence;
+  // A version-1 or -2 snapshot still carries rows [0, covered) itself.
+  const bool legacy = candidate.state.version < 3;
+  const bool rows_from_journal = hydrate && !legacy;
   NIMBUS_ASSIGN_OR_RETURN(
-      candidate.tail,
-      CollectTailEntries(journal_path, candidate.state.sequence));
-  for (size_t i = 0; i < candidate.tail.size(); ++i) {
-    const LedgerEntry& entry = candidate.tail[i];
-    NIMBUS_RETURN_IF_ERROR(ValidateTailEntry(
-        entry, candidate.state.sequence + static_cast<int64_t>(i)));
-    NIMBUS_RETURN_IF_ERROR(CheckOffered(brokers, entry.model, "journal tail"));
+      std::vector<LedgerEntry> rows,
+      Journal::ReadRange(journal_path, rows_from_journal ? 0 : covered,
+                         Journal::kToEnd, /*heal_live_tail=*/true));
+  if (rows_from_journal) {
+    if (static_cast<int64_t>(rows.size()) < covered) {
+      return InternalError("journal holds " + std::to_string(rows.size()) +
+                           " rows but the snapshot covers " +
+                           std::to_string(covered));
+    }
+    candidate.tail.assign(std::make_move_iterator(rows.begin() + covered),
+                          std::make_move_iterator(rows.end()));
+    rows.resize(static_cast<size_t>(covered));
+    candidate.base_entries = std::move(rows);
+  } else {
+    candidate.tail = std::move(rows);
+    if (hydrate) {
+      candidate.base_entries = candidate.state.entries;
+    }
   }
-  if (hydrate && candidate.state.sequence > 0) {
-    // Eager hydration: load + CRC-verify the entry log now, so a rotted
-    // LEDG payload rejects this candidate instead of failing later.
-    NIMBUS_ASSIGN_OR_RETURN(candidate.base_entries,
-                            snapshot::ReadEntries(snapshot_file));
+  for (const LedgerEntry& entry : candidate.base_entries) {
+    NIMBUS_RETURN_IF_ERROR(ValidateJournalRow(entry, brokers));
+  }
+  for (const LedgerEntry& entry : candidate.tail) {
+    NIMBUS_RETURN_IF_ERROR(ValidateJournalRow(entry, brokers));
   }
   return candidate;
 }
@@ -401,9 +325,6 @@ StatusOr<Checkpointer::Stats> Marketplace::CheckpointStats() const {
 }
 
 StatusOr<snapshot::State> Marketplace::CaptureSnapshotState() {
-  // A hydration-deferred ledger must load its covered rows before they
-  // can be re-serialized into the next snapshot's LEDG section.
-  NIMBUS_RETURN_IF_ERROR(ledger_.Hydrate());
   snapshot::State state;
   state.sequence = ledger_.size();
   state.total_revenue = ledger_.total_revenue_;
@@ -423,8 +344,6 @@ StatusOr<snapshot::State> Marketplace::CaptureSnapshotState() {
       buyer_state.total_paid = history.total_paid;
     }
   }
-  state.entries = ledger_.entries();
-  state.entries_loaded = true;
   return state;
 }
 
@@ -474,10 +393,14 @@ Status Marketplace::RestoreFromCheckpoint(const std::string& path,
   // were rejected by BuildCandidate, so a failure here is an internal
   // inconsistency and aborts the restore rather than trying a deeper
   // rung against half-mutated monitors.
-  const auto apply = [&](RestoreCandidate candidate,
-                         const std::string& snapshot_file) -> Status {
+  const auto apply = [&](RestoreCandidate candidate) -> Status {
+    // A version-1 or -2 rung's rows move into the journal before a
+    // version-3 checkpoint can prune the rung.
+    NIMBUS_RETURN_IF_ERROR(
+        Journal::UpgradeLegacySegments(path, candidate.state.entries));
+    const int64_t covered = candidate.state.sequence;
     Ledger::EntryLoader loader;
-    if (candidate.state.sequence > 0) {
+    if (covered > 0) {
       if (options.hydrate) {
         auto rows = std::make_shared<std::vector<LedgerEntry>>(
             std::move(candidate.base_entries));
@@ -485,15 +408,15 @@ Status Marketplace::RestoreFromCheckpoint(const std::string& path,
           return std::move(*rows);
         };
       } else {
-        loader = [snapshot_file]() {
-          return snapshot::ReadEntries(snapshot_file);
+        loader = [path, covered]() {
+          return Journal::ReadRange(path, 0, covered);
         };
       }
     }
     NIMBUS_ASSIGN_OR_RETURN(
         Ledger restored,
         Ledger::FromRecoveredState(
-            candidate.state.sequence, candidate.state.total_revenue,
+            covered, candidate.state.total_revenue,
             std::move(candidate.state.spend_by_buyer),
             std::move(candidate.state.sales_per_price_point),
             std::move(candidate.state.revenue_by_model),
@@ -517,16 +440,16 @@ Status Marketplace::RestoreFromCheckpoint(const std::string& path,
     if (options.hydrate) {
       NIMBUS_RETURN_IF_ERROR(restored.Hydrate());
     }
-    report.snapshot_records = candidate.state.sequence;
+    report.snapshot_records = covered;
     report.tail_records = static_cast<int64_t>(candidate.tail.size());
     ledger_ = std::move(restored);
     return OkStatus();
   };
 
   const auto attach = [&]() -> Status {
-    // Heal-and-reopen: a torn live tail was truncated while collecting
-    // the tail; a live segment lost in Rotate's rename window is
-    // recreated here with the restored sequence as its base.
+    // Heal-and-reopen: a torn live tail was truncated while reading the
+    // journal; a live segment lost in the seal's rename window is
+    // re-created here with the restored sequence as its base.
     Journal::Options journal_options = options.journal;
     journal_options.create_base_sequence = ledger_.size();
     return EnableJournal(path, journal_options);
@@ -539,7 +462,7 @@ Status Marketplace::RestoreFromCheckpoint(const std::string& path,
     StatusOr<RestoreCandidate> candidate =
         BuildCandidate(snapshot_file, path, options.hydrate, brokers_);
     if (candidate.ok()) {
-      NIMBUS_RETURN_IF_ERROR(apply(std::move(*candidate), snapshot_file));
+      NIMBUS_RETURN_IF_ERROR(apply(*std::move(candidate)));
       report.source = i == 0 ? RestoreReport::Source::kSnapshot
                              : RestoreReport::Source::kPreviousSnapshot;
       report.generation = generation;
@@ -554,29 +477,28 @@ Status Marketplace::RestoreFromCheckpoint(const std::string& path,
     RecoverySnapshotsRejectedCounter().Increment();
   }
 
-  // Last rung: no usable snapshot — replay the whole journal chain.
-  if (!FileExists(path) && !FileExists(path + ".prev")) {
+  // Last rung: no usable snapshot — replay the whole segment chain.
+  StatusOr<std::vector<LedgerEntry>> entries =
+      Journal::ReadRange(path, 0, Journal::kToEnd, /*heal_live_tail=*/true);
+  if (entries.status().code() == StatusCode::kNotFound) {
     return NotFoundError("no usable snapshot and no journal at '" + path +
                          "'");
   }
-  NIMBUS_ASSIGN_OR_RETURN(std::vector<LedgerEntry> entries,
-                          CollectTailEntries(path, 0));
-  for (size_t i = 0; i < entries.size(); ++i) {
-    NIMBUS_RETURN_IF_ERROR(
-        ValidateTailEntry(entries[i], static_cast<int64_t>(i)));
-    NIMBUS_RETURN_IF_ERROR(
-        CheckOffered(brokers_, entries[i].model, "journal"));
+  NIMBUS_RETURN_IF_ERROR(entries.status());
+  for (const LedgerEntry& entry : *entries) {
+    NIMBUS_RETURN_IF_ERROR(ValidateJournalRow(entry, brokers_));
   }
-  NIMBUS_ASSIGN_OR_RETURN(Ledger replayed, Ledger::FromEntries(entries));
+  NIMBUS_RETURN_IF_ERROR(Journal::UpgradeLegacySegments(path, {}));
+  NIMBUS_ASSIGN_OR_RETURN(Ledger replayed, Ledger::FromEntries(*entries));
   // Rebuild the collusion-monitor histories so the restarted process
   // reports the same assessments as the one that crashed.
-  for (const LedgerEntry& entry : entries) {
+  for (const LedgerEntry& entry : *entries) {
     NIMBUS_RETURN_IF_ERROR(CountSale(entry.buyer_id, entry.model,
                                      entry.inverse_ncp, entry.price));
   }
   ledger_ = std::move(replayed);
   report.source = RestoreReport::Source::kFullReplay;
-  report.tail_records = static_cast<int64_t>(entries.size());
+  report.tail_records = static_cast<int64_t>(entries->size());
   RecoveryFullReplaysCounter().Increment();
   RecoveryTailRecordsCounter().Increment(report.tail_records);
   return attach();

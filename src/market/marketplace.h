@@ -125,8 +125,9 @@ class Marketplace {
   // checkpointing is off.
   StatusOr<Checkpointer::Stats> CheckpointStats() const;
 
-  // Captures the full transactional state (hydrating the ledger's entry
-  // log first if this marketplace was restored with deferred hydration).
+  // Captures the live transactional state: aggregates, monitor
+  // histories and the sequence. Entry rows stay in the journal, so this
+  // is O(buyers + price points) and never hydrates a deferred ledger.
   StatusOr<snapshot::State> CaptureSnapshotState();
 
   // Takes a checkpoint unconditionally (subject to the checkpointer's
@@ -145,28 +146,31 @@ class Marketplace {
   // tail past it — O(delta) in the records since that snapshot, not in
   // total history. The recovery ladder: for each generation, newest
   // first, structurally validate the snapshot (footer + per-section
-  // CRCs), collect the journal tail [snapshot.sequence, end) from the
-  // live segment (and the `.prev` segment left by a rotation crash
-  // window), and verify the tail is gap-free; the first generation that
-  // passes is applied — aggregates and monitor histories install
-  // directly from the snapshot, only the tail replays through the
-  // ledger. A torn or corrupt snapshot falls back to the previous
-  // generation, and when no generation is usable, to a full replay of
-  // the journal chain (live segment plus `.prev`) — never silent data
-  // loss. Must be called after the same AddOffering sequence as the
-  // crashed process and before any sale (kFailedPrecondition otherwise,
-  // and for a journal naming a model that is not offered); the restored
+  // CRCs), read the journal rows it needs (Journal::ReadRange: the tail
+  // [snapshot.sequence, end), or every row when hydrating) and verify
+  // them gap-free; the first generation that passes is applied —
+  // aggregates and monitor histories install directly from the
+  // snapshot, only the tail replays through the ledger. A torn or
+  // corrupt snapshot falls back to the previous generation, and when no
+  // generation is usable, to a full replay of the sealed segments and
+  // the live segment — never silent data loss. A damaged sealed segment
+  // fails a hydrating restore with a Status naming the file. Must be
+  // called after the same AddOffering sequence as the crashed process
+  // and before any sale (kFailedPrecondition otherwise, and for a
+  // journal naming a model that is not offered); the restored
   // TotalRevenue, sequence numbers, SalesPerPricePoint, and monitor
-  // assessments are bit-identical to the pre-crash marketplace.
-  // Re-attaches the journal (healing a torn tail, recreating a segment
-  // lost in the rotation crash window) so new sales append after the
-  // recovered prefix.
+  // assessments are bit-identical to the pre-crash marketplace. A
+  // directory written under snapshot format 2 is moved onto sealed
+  // segments first (Journal::UpgradeLegacySegments). Re-attaches the
+  // journal (healing a torn tail, re-creating a live segment lost in the
+  // seal's rename window) so new sales append after the recovered
+  // prefix.
   struct RestoreOptions {
     // Applied when re-attaching the journal after restore.
     Journal::Options journal;
-    // Load + CRC-verify the snapshot's full entry log during restore
-    // (audit queries need it). Off = defer hydration: restore stays
-    // O(delta) and the entry log loads on first Hydrate()/entries() use.
+    // Read every journal row during restore (audit queries need them).
+    // Off = defer hydration: restore stays O(delta), and the rows below
+    // the snapshot load from the sealed segments on first Hydrate().
     bool hydrate = true;
   };
   struct RestoreReport {

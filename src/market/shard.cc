@@ -72,11 +72,6 @@ Status MakeDirs(const std::string& path) {
   return OkStatus();
 }
 
-bool FileExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
-
 // Does a terminal commit failure implicate the shard's durable state?
 // Poisoned/closed journals (kFailedPrecondition) and short writes
 // (real or injected ENOSPC) mean the journal needs out-of-band
@@ -174,7 +169,9 @@ StatusOr<Marketplace> Shard::BuildAndRestore(Marketplace::RestoreReport* report,
     return built.status();
   }
   Marketplace market = *std::move(built);
-  if (FileExists(journal_path_)) {
+  // Any recovery file means history exists — including a live segment
+  // missing after a crash inside a seal's renames.
+  if (!RecoveryFiles(journal_path_).empty()) {
     Marketplace::RestoreOptions restore;
     restore.journal = options_.journal;
     NIMBUS_RETURN_IF_ERROR(

@@ -45,8 +45,9 @@ using MarketplaceFactory = std::function<StatusOr<Marketplace>()>;
 
 struct ShardOptions {
   // Per-shard directory; the write-ahead journal lives at
-  // `<dir>/journal` and the snapshot chain beside it
-  // (`journal.snap.NNNNNN`, `journal.manifest`, `journal.prev`).
+  // `<dir>/journal`, its sealed segments and the snapshot chain beside
+  // it (`journal.seg.NNNNNNNNNNNN`, `journal.snap.NNNNNN`,
+  // `journal.manifest`).
   std::string dir;
   Journal::Options journal;
   // Checkpointing (off by default — pure-journal shards still recover,

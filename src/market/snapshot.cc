@@ -23,7 +23,7 @@ namespace {
 
 constexpr char kMagic[8] = {'N', 'I', 'M', 'B', 'U', 'S', 'S', '1'};
 constexpr char kManifestMagic[] = "NIMBUSM1";
-constexpr uint32_t kFormatVersion = 2;
+constexpr uint32_t kFormatVersion = 3;
 constexpr size_t kSectionHeaderBytes = 20;  // tag + flags + len + crc.
 
 constexpr uint32_t FourCc(char a, char b, char c, char d) {
@@ -41,11 +41,13 @@ constexpr uint32_t kTagFoot = FourCc('F', 'O', 'O', 'T');
 
 // The body sections, in required file order (FOOT follows, indexing
 // exactly these).
-constexpr uint32_t kBodyTags[] = {kTagMeta, kTagAggr, kTagColl, kTagLedg};
+constexpr uint32_t kBodyTags[] = {kTagMeta, kTagAggr, kTagColl};
 
-// Version-1 read rule: those files also carry BRKR (the retired broker
-// sale counters) before LEDG. Read CRC-checks its payload and drops it.
+// Legacy read rules: version 2 appends the entry log (LEDG); version 1
+// also carries BRKR (the retired broker sale counters) before it. Read
+// CRC-checks both, drops BRKR and decodes LEDG.
 constexpr uint32_t kTagBrkr = FourCc('B', 'R', 'K', 'R');
+constexpr uint32_t kBodyTagsV2[] = {kTagMeta, kTagAggr, kTagColl, kTagLedg};
 constexpr uint32_t kBodyTagsV1[] = {kTagMeta, kTagAggr, kTagColl, kTagBrkr,
                                     kTagLedg};
 constexpr size_t kMaxBodySections = std::size(kBodyTagsV1);
@@ -111,23 +113,21 @@ std::string EncodeMeta(const State& state) {
 }
 
 Status DecodeMeta(const std::string& path, const std::string& payload,
-                  State* state, uint32_t* version_out) {
+                  State* state) {
   size_t offset = 0;
-  uint32_t version = 0;
-  if (!ReadScalar(payload, offset, &version) ||
+  if (!ReadScalar(payload, offset, &state->version) ||
       !ReadScalar(payload, offset, &state->generation) ||
       !ReadScalar(payload, offset, &state->sequence) ||
       offset != payload.size()) {
     return CorruptError(path, "undecodable META section");
   }
-  if (version != 1 && version != kFormatVersion) {
-    return CorruptError(path,
-                        "unsupported format version " + std::to_string(version));
+  if (state->version < 1 || state->version > kFormatVersion) {
+    return CorruptError(path, "unsupported format version " +
+                                  std::to_string(state->version));
   }
   if (state->generation < 0 || state->sequence < 0) {
     return CorruptError(path, "negative generation or sequence");
   }
-  *version_out = version;
   return OkStatus();
 }
 
@@ -268,16 +268,6 @@ Status DecodeColl(const std::string& path, const std::string& payload,
     return CorruptError(path, "trailing bytes in COLL section");
   }
   return OkStatus();
-}
-
-std::string EncodeLedg(const State& state) {
-  std::string out;
-  AppendScalar(out, static_cast<int64_t>(state.entries.size()));
-  for (const LedgerEntry& entry : state.entries) {
-    const std::string payload = Journal::EncodePayload(entry);
-    AppendString(out, payload);
-  }
-  return out;
 }
 
 StatusOr<std::vector<LedgerEntry>> DecodeLedg(const std::string& path,
@@ -455,9 +445,6 @@ StatusOr<int64_t> Write(const std::string& path, const State& state) {
       case kTagColl:
         payload = EncodeColl(state);
         break;
-      case kTagLedg:
-        payload = EncodeLedg(state);
-        break;
     }
     AppendScalar(footer, tag);
     AppendScalar(footer, static_cast<uint64_t>(image.size()));
@@ -470,7 +457,7 @@ StatusOr<int64_t> Write(const std::string& path, const State& state) {
   return static_cast<int64_t>(image.size());
 }
 
-StatusOr<State> Read(const std::string& path, ReadOptions options) {
+StatusOr<State> Read(const std::string& path) {
   NIMBUS_ASSIGN_OR_RETURN(const std::string bytes, ReadFileBytes(path));
   if (bytes.size() < sizeof(kMagic) ||
       std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
@@ -487,7 +474,6 @@ StatusOr<State> Read(const std::string& path, ReadOptions options) {
     SectionHeader header;
   };
   Observed observed[kMaxBodySections];
-  std::string ledg_payload;
   bool saw_footer = false;
   while (offset < bytes.size()) {
     const uint64_t section_offset = offset;
@@ -557,14 +543,6 @@ StatusOr<State> Read(const std::string& path, ReadOptions options) {
       return CorruptError(path, "unexpected section order");
     }
     observed[body_index] = Observed{section_offset, header};
-    // The LEDG payload is skipped (not CRC'd) on a shallow read: the
-    // footer cross-check above still proves the header uncorrupted and
-    // the payload fully present, and hydration re-verifies the CRC.
-    if (header.tag == kTagLedg && !options.load_entries) {
-      offset += static_cast<size_t>(header.payload_len);
-      ++body_index;
-      continue;
-    }
     const std::string payload =
         bytes.substr(offset, static_cast<size_t>(header.payload_len));
     offset += static_cast<size_t>(header.payload_len);
@@ -573,14 +551,14 @@ StatusOr<State> Read(const std::string& path, ReadOptions options) {
                                     std::to_string(section_offset));
     }
     switch (header.tag) {
-      case kTagMeta: {
-        uint32_t version = 0;
-        NIMBUS_RETURN_IF_ERROR(DecodeMeta(path, payload, &state, &version));
-        if (version == 1) {
+      case kTagMeta:
+        NIMBUS_RETURN_IF_ERROR(DecodeMeta(path, payload, &state));
+        if (state.version == 1) {
           body_tags = kBodyTagsV1;
+        } else if (state.version == 2) {
+          body_tags = kBodyTagsV2;
         }
         break;
-      }
       case kTagAggr:
         NIMBUS_RETURN_IF_ERROR(DecodeAggr(path, payload, &state));
         break;
@@ -589,8 +567,12 @@ StatusOr<State> Read(const std::string& path, ReadOptions options) {
         break;
       case kTagBrkr:  // Version 1 only: CRC-checked above, then dropped.
         break;
-      case kTagLedg:
-        ledg_payload = payload;
+      case kTagLedg:  // Versions 1 and 2 only.
+        NIMBUS_ASSIGN_OR_RETURN(state.entries, DecodeLedg(path, payload));
+        if (static_cast<int64_t>(state.entries.size()) != state.sequence) {
+          return CorruptError(path,
+                              "LEDG entry count disagrees with META sequence");
+        }
         break;
     }
     ++body_index;
@@ -598,20 +580,7 @@ StatusOr<State> Read(const std::string& path, ReadOptions options) {
   if (!saw_footer || offset != bytes.size()) {
     return CorruptError(path, "truncated snapshot (no footer)");
   }
-  if (options.load_entries) {
-    NIMBUS_ASSIGN_OR_RETURN(state.entries, DecodeLedg(path, ledg_payload));
-    if (static_cast<int64_t>(state.entries.size()) != state.sequence) {
-      return CorruptError(
-          path, "LEDG entry count disagrees with META sequence");
-    }
-    state.entries_loaded = true;
-  }
   return state;
-}
-
-StatusOr<std::vector<LedgerEntry>> ReadEntries(const std::string& path) {
-  NIMBUS_ASSIGN_OR_RETURN(State state, Read(path, {.load_entries = true}));
-  return std::move(state.entries);
 }
 
 Status WriteManifest(const std::string& journal_path, const Manifest& m) {

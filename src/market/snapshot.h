@@ -20,17 +20,19 @@ namespace nimbus::market::snapshot {
 //
 //   u32 tag | u32 flags | u64 payload_len | u32 crc32(payload) | payload
 //
-// in fixed order META, AGGR, COLL, LEDG, FOOT. The FOOT section is
-// a table of (tag, offset, len, crc) for every preceding section, so a
-// reader can structurally validate the whole file — including the large
-// LEDG entry log — by walking headers and cross-checking the footer
-// without touching the LEDG payload. That makes validation (and a
-// deferred-hydration restore) O(sections), not O(history): recovery time
-// depends only on the journal tail, never on total sales ever recorded.
-// Any truncation, bit flip in a section header, or CRC mismatch on a
-// loaded payload makes the snapshot invalid as a whole; readers then
-// fall back to the previous generation (see Marketplace::
+// in fixed order META, AGGR, COLL, FOOT. The FOOT section is a table of
+// (tag, offset, len, crc) for every preceding section, so a reader
+// structurally validates the whole file by walking headers and
+// cross-checking the footer. Any truncation, bit flip in a section
+// header, or CRC mismatch makes the snapshot invalid as a whole; readers
+// then fall back to the previous generation (see Marketplace::
 // RestoreFromCheckpoint's recovery ladder).
+//
+// A snapshot holds only live state: ledger aggregates, collusion-monitor
+// histories and the sequence it covers. Its size tracks buyers and price
+// points, never sales ever made. The entry rows themselves live in the
+// journal's sealed segments (market/journal.h), which hydration, export
+// and full replay read.
 //
 // Files are written via temp file + fsync + atomic rename, so a crash
 // mid-checkpoint leaves at worst a torn `.tmp` that no reader ever
@@ -39,12 +41,13 @@ namespace nimbus::market::snapshot {
 // manifest is stale or lost, ListGenerations falls back to a directory
 // scan of `<journal>.snap.NNNNNN` files.
 //
-// META carries the format version. Writers emit version 2. Version-1
-// files carry one more section, BRKR (the retired per-broker sale
-// counters), between COLL and LEDG; Read still accepts them — the BRKR
-// payload is CRC-checked like any other section and then dropped — so a
-// journal directory checkpointed before the change keeps its snapshot
-// rungs.
+// META carries the format version. Writers emit version 3. Read still
+// accepts the two earlier versions, which carried the full entry log in
+// a LEDG section before FOOT; version 1 also carried BRKR (the retired
+// per-broker sale counters) between COLL and LEDG. Both legacy sections
+// are CRC-checked like any other; BRKR is then dropped, and LEDG loads
+// into State::entries — the rows a restore moves into the journal's
+// first sealed segment (Journal::UpgradeLegacySegments).
 
 // Per-buyer collusion-monitor history (mirror of CollusionMonitor's
 // internal accumulator, restored bit-identically).
@@ -75,29 +78,19 @@ struct State {
   std::map<ml::ModelKind, int64_t> sales_by_model;
   // Per-offering collusion-monitor histories.
   std::map<ml::ModelKind, MonitorState> monitors;
-  // Full entry log (LEDG section). Loaded only under
-  // ReadOptions::load_entries; `entries_loaded` distinguishes a shallow
-  // read from a snapshot that genuinely covers zero entries.
+  // Format version the file was read from (Read fills it in; Write
+  // always emits the current one).
+  uint32_t version = 0;
+  // Versions 1 and 2 only: the LEDG entry log, rows [0, sequence). Write
+  // ignores it.
   std::vector<LedgerEntry> entries;
-  bool entries_loaded = false;
-};
-
-struct ReadOptions {
-  // Load and CRC-verify the LEDG payload (full entry hydration). Off by
-  // default: the shallow read still structurally validates LEDG via the
-  // footer, which is what keeps restore O(delta).
-  bool load_entries = false;
 };
 
 // Reads and validates a snapshot. Every failure mode — missing file,
 // truncation at any byte offset, flipped CRC or header field, footer
 // mismatch — returns a non-OK Status; a Status is never OK for a file
 // that could mis-restore. Fault points: `io.read`.
-StatusOr<State> Read(const std::string& path, ReadOptions options = {});
-
-// Loads just the entry log of an already-validated snapshot (deferred
-// hydration). CRC-verifies the LEDG payload before decoding.
-StatusOr<std::vector<LedgerEntry>> ReadEntries(const std::string& path);
+StatusOr<State> Read(const std::string& path);
 
 // Serializes `state` and commits it atomically: write to `path + ".tmp"`,
 // fsync, rename over `path`, fsync the parent directory. Returns the

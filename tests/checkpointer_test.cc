@@ -29,11 +29,8 @@ std::string TempPath(const std::string& name) {
 }
 
 void RemoveCheckpointFiles(const std::string& journal_path) {
-  std::remove(journal_path.c_str());
-  std::remove((journal_path + ".prev").c_str());
-  std::remove(snapshot::ManifestPath(journal_path).c_str());
-  for (int64_t generation = 1; generation <= 64; ++generation) {
-    std::remove(snapshot::SnapshotPath(journal_path, generation).c_str());
+  for (const std::string& file : RecoveryFiles(journal_path)) {
+    std::remove(file.c_str());
   }
 }
 
@@ -145,7 +142,7 @@ TEST_F(CheckpointerTest, PruningKeepsTheNewestTwoGenerations) {
   RemoveCheckpointFiles(path);
 }
 
-TEST_F(CheckpointerTest, RecordCadenceCheckpointsAndRotatesDuringTrading) {
+TEST_F(CheckpointerTest, RecordCadenceCheckpointsAndSealsDuringTrading) {
   const std::string path = TempPath("nimbus_ckpt_cadence.waj");
   RemoveCheckpointFiles(path);
   Marketplace market = MakeMarket(31);
@@ -164,15 +161,16 @@ TEST_F(CheckpointerTest, RecordCadenceCheckpointsAndRotatesDuringTrading) {
   EXPECT_EQ(stats->last_sequence, 6);
   EXPECT_EQ(stats->prev_sequence, 3);
 
-  // The live journal was rotated down to the PREVIOUS checkpoint's
-  // sequence, so it still serves the fallback rung's tail.
+  // Each checkpoint sealed the live segment at its own sequence: the
+  // live segment holds only the rows past the newest generation.
   ASSERT_TRUE(market.FlushJournal().ok());
+  EXPECT_EQ(Journal::SealedSegments(path), (std::vector<int64_t>{0, 3}));
   Journal::RecoveryReport report;
   StatusOr<std::vector<LedgerEntry>> live = Journal::Replay(path, &report);
   ASSERT_TRUE(live.ok());
-  EXPECT_EQ(report.base_sequence, 3);
-  EXPECT_EQ(live->front().sequence, 3);
-  EXPECT_EQ(live->back().sequence, 6);
+  EXPECT_EQ(report.base_sequence, 6);
+  ASSERT_EQ(live->size(), 1u);
+  EXPECT_EQ(live->front().sequence, 6);
 
   // A restart restores from generation 2 + the single tail record.
   const std::string csv = market.ledger().ToCsv();
@@ -250,8 +248,8 @@ TEST_F(CheckpointerTest, SnapshotWriteFaultIsAbsorbedAndTradingContinues) {
   RemoveCheckpointFiles(path);
 }
 
-TEST_F(CheckpointerTest, RotationFaultDegradesToLongerReplayNotFailure) {
-  const std::string path = TempPath("nimbus_ckpt_rotate_fault.waj");
+TEST_F(CheckpointerTest, SealFaultIsAbsorbedAndTheNextSealCatchesUp) {
+  const std::string path = TempPath("nimbus_ckpt_seal_fault.waj");
   RemoveCheckpointFiles(path);
   Marketplace market = MakeMarket(34);
   ASSERT_TRUE(market.EnableJournal(path).ok());
@@ -263,12 +261,13 @@ TEST_F(CheckpointerTest, RotationFaultDegradesToLongerReplayNotFailure) {
   for (int i = 0; i < 2; ++i) {
     BuyOne(market, "dora", 6.0 + i);
   }
-  // Generation 2's snapshot commits but its rotation fails: absorbed,
-  // reported in stats, and the journal keeps the longer tail.
+  // Generation 2's snapshot commits but its seal fails: absorbed,
+  // reported in stats, and the live segment keeps rows [3, 5).
   ASSERT_TRUE(fault::Configure("journal.rotate:1:*").ok());
   ASSERT_EQ(*market.CheckpointNow(), 2);
   fault::Reset();
   EXPECT_EQ(market.CheckpointStats()->rotation_failures, 1);
+  EXPECT_EQ(Journal::SealedSegments(path), std::vector<int64_t>{0});
 
   ASSERT_TRUE(market.FlushJournal().ok());
   Marketplace restored = MakeMarket(34);
@@ -279,7 +278,16 @@ TEST_F(CheckpointerTest, RotationFaultDegradesToLongerReplayNotFailure) {
                   .ok());
   EXPECT_EQ(report.source, Marketplace::RestoreReport::Source::kSnapshot);
   EXPECT_EQ(report.generation, 2);
+  EXPECT_EQ(report.tail_records, 0);
   EXPECT_EQ(restored.ledger().ToCsv(), market.ledger().ToCsv());
+
+  // The next checkpoint seals the longer segment in one piece.
+  BuyOne(market, "dora", 9.0);
+  ASSERT_EQ(*market.CheckpointNow(), 3);
+  EXPECT_EQ(Journal::SealedSegments(path), (std::vector<int64_t>{0, 3}));
+  StatusOr<std::vector<LedgerEntry>> rows = Journal::ReadRange(path, 0);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_EQ(rows->size(), 6u);
   RemoveCheckpointFiles(path);
 }
 

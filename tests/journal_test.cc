@@ -18,6 +18,7 @@
 #include "common/random.h"
 #include "common/telemetry.h"
 #include "data/synthetic.h"
+#include "market/checkpointer.h"
 #include "market/curves.h"
 #include "market/ledger.h"
 #include "market/market_simulator.h"
@@ -66,9 +67,16 @@ std::vector<LedgerEntry> SampleEntries() {
   return entries;
 }
 
+// Deletes the journal and every sibling its seals and snapshots leave.
+void RemoveJournalFiles(const std::string& path) {
+  for (const std::string& file : RecoveryFiles(path)) {
+    std::remove(file.c_str());
+  }
+}
+
 void WriteJournalWith(const std::string& path,
                       const std::vector<LedgerEntry>& entries) {
-  std::remove(path.c_str());
+  RemoveJournalFiles(path);
   StatusOr<Journal> journal = Journal::Open(path, Journal::Options{});
   ASSERT_TRUE(journal.ok()) << journal.status();
   for (const LedgerEntry& e : entries) {
@@ -740,10 +748,10 @@ TEST(JournalTest, OpenOnCorruptTailFailsAndNeverAutoTruncates) {
 }
 
 // ---------------------------------------------------------------------------
-// Rotation: post-checkpoint compaction into a J2 segment.
+// Sealing: a checkpoint renames the live segment and starts a fresh one.
 
-TEST(JournalTest, RotateCompactsToJ2SegmentAndKeepsPrev) {
-  const std::string path = TempPath("nimbus_journal_rotate.waj");
+TEST(JournalTest, SealRenamesLiveSegmentAndOpensFreshOne) {
+  const std::string path = TempPath("nimbus_journal_seal.waj");
   const std::vector<LedgerEntry> entries = SampleEntries();
   WriteJournalWith(path, entries);
 
@@ -751,56 +759,72 @@ TEST(JournalTest, RotateCompactsToJ2SegmentAndKeepsPrev) {
   ASSERT_TRUE(journal.ok()) << journal.status();
   EXPECT_EQ(journal->base_sequence(), 0);
   const int64_t bytes_before = journal->live_bytes();
-  ASSERT_TRUE(journal->Rotate(3).ok());
-  EXPECT_EQ(journal->base_sequence(), 3);
+  // Only the sequence after the last record can seal.
+  EXPECT_EQ(journal->Seal(3).code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(journal->Seal(5).ok());
+  EXPECT_EQ(journal->base_sequence(), 5);
   EXPECT_LT(journal->live_bytes(), bytes_before);
+  ASSERT_TRUE(journal->Seal(5).ok());  // Nothing new: a no-op.
+  EXPECT_EQ(Journal::SealedSegments(path), std::vector<int64_t>{0});
 
-  // The journal stays open for appending across the rotation.
+  // The journal stays open for appending across the seal.
   LedgerEntry next = entries[0];
   next.sequence = 5;
   ASSERT_TRUE(journal->Append(next).ok());
   ASSERT_TRUE(journal->Close().ok());
 
-  // Live segment: J2 header with base 3, records 3..5 byte-identical.
+  // The sealed segment is the old file, byte for byte.
+  Journal::RecoveryReport sealed_report;
+  StatusOr<std::vector<LedgerEntry>> sealed = Journal::Replay(
+      Journal::SealedSegmentPath(path, 0), &sealed_report);
+  ASSERT_TRUE(sealed.ok()) << sealed.status();
+  EXPECT_EQ(sealed_report.base_sequence, 0);
+  ASSERT_EQ(sealed->size(), entries.size());
+  // Live segment: J2 header with base 5 and the one new record.
   Journal::RecoveryReport live_report;
   StatusOr<std::vector<LedgerEntry>> live =
       Journal::Replay(path, &live_report);
   ASSERT_TRUE(live.ok()) << live.status();
-  EXPECT_EQ(live_report.base_sequence, 3);
-  ASSERT_EQ(live->size(), 3u);
-  ExpectSameEntry((*live)[0], entries[3]);
-  ExpectSameEntry((*live)[1], entries[4]);
-  ExpectSameEntry((*live)[2], next);
+  EXPECT_EQ(live_report.base_sequence, 5);
+  ASSERT_EQ(live->size(), 1u);
+  ExpectSameEntry((*live)[0], next);
 
-  // The pre-rotation file survives as `.prev` (the fallback rung).
-  Journal::RecoveryReport prev_report;
-  StatusOr<std::vector<LedgerEntry>> prev =
-      Journal::Replay(path + ".prev", &prev_report);
-  ASSERT_TRUE(prev.ok()) << prev.status();
-  EXPECT_EQ(prev_report.base_sequence, 0);
-  ASSERT_EQ(prev->size(), entries.size());
-
-  // Rotating backwards is refused.
-  StatusOr<Journal> reopened = Journal::Open(path, Journal::Options{});
-  ASSERT_TRUE(reopened.ok()) << reopened.status();
-  EXPECT_EQ(reopened->base_sequence(), 3);
-  EXPECT_EQ(reopened->Rotate(1).code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
-  std::remove((path + ".prev").c_str());
+  // ReadRange stitches the chain back together at any window.
+  StatusOr<std::vector<LedgerEntry>> all = Journal::ReadRange(path, 0);
+  ASSERT_TRUE(all.ok()) << all.status();
+  ASSERT_EQ(all->size(), 6u);
+  for (int i = 0; i < 5; ++i) {
+    ExpectSameEntry((*all)[i], entries[i]);
+  }
+  ExpectSameEntry((*all)[5], next);
+  StatusOr<std::vector<LedgerEntry>> window = Journal::ReadRange(path, 3, 5);
+  ASSERT_TRUE(window.ok()) << window.status();
+  ASSERT_EQ(window->size(), 2u);
+  EXPECT_EQ(window->front().sequence, 3);
+  EXPECT_TRUE(Journal::ReadRange(path, 6)->empty());
+  EXPECT_EQ(Journal::ReadRange(path, 7).status().code(), StatusCode::kInternal);
+  // A live file killed before its header landed holds no rows and no
+  // base; the sealed rows still read.
+  WriteFileBytes(path, "");
+  EXPECT_EQ(Journal::ReadRange(path, 0)->size(), 5u);
+  RemoveJournalFiles(path);
+  EXPECT_EQ(Journal::ReadRange(path, 0).status().code(),
+            StatusCode::kNotFound);
 }
 
-TEST(JournalTest, RotateFaultLeavesJournalIntactAndAppendable) {
-  const std::string path = TempPath("nimbus_journal_rotate_fault.waj");
+TEST(JournalTest, SealFaultLeavesJournalIntactAndAppendable) {
+  const std::string path = TempPath("nimbus_journal_seal_fault.waj");
   const std::vector<LedgerEntry> entries = SampleEntries();
   WriteJournalWith(path, entries);
   StatusOr<Journal> journal = Journal::Open(path, Journal::Options{});
   ASSERT_TRUE(journal.ok()) << journal.status();
 
   ASSERT_TRUE(fault::Configure("journal.rotate:1:*").ok());
-  EXPECT_EQ(journal->Rotate(3).code(), StatusCode::kInternal);
+  EXPECT_EQ(journal->Seal(5).code(), StatusCode::kInternal);
   fault::Reset();
 
   EXPECT_EQ(journal->base_sequence(), 0);
+  EXPECT_TRUE(Journal::SealedSegments(path).empty());
   LedgerEntry next = entries[0];
   next.sequence = 5;
   EXPECT_TRUE(journal->Append(next).ok());
@@ -808,7 +832,50 @@ TEST(JournalTest, RotateFaultLeavesJournalIntactAndAppendable) {
   StatusOr<std::vector<LedgerEntry>> back = Journal::Replay(path);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->size(), 6u);
-  std::remove(path.c_str());
+  RemoveJournalFiles(path);
+}
+
+// A damaged sealed segment fails every read that needs it with a Status
+// naming the file — never a short result — while reads past it, which
+// do not open it, keep working.
+TEST(JournalTest, ReadRangeRejectsDamagedOrMissingSealedSegments) {
+  const std::string path = TempPath("nimbus_journal_chain.waj");
+  RemoveJournalFiles(path);
+  const std::vector<LedgerEntry> entries = SampleEntries();
+  {
+    StatusOr<Journal> journal = Journal::Open(path, Journal::Options{});
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(journal->Append(entries[i]).ok());
+      if (i == 1 || i == 3) {
+        ASSERT_TRUE(journal->Seal(i + 1).ok());
+      }
+    }
+    ASSERT_TRUE(journal->Close().ok());
+  }
+  ASSERT_EQ(Journal::SealedSegments(path), (std::vector<int64_t>{0, 2}));
+  ASSERT_EQ(Journal::ReadRange(path, 0)->size(), 5u);
+
+  const std::string middle = Journal::SealedSegmentPath(path, 2);
+  const std::string pristine = ReadFileBytes(middle);
+  std::string flipped = pristine;
+  flipped[flipped.size() - 3] ^= 0x10;
+  WriteFileBytes(middle, flipped);
+  Status damaged = Journal::ReadRange(path, 0).status();
+  EXPECT_EQ(damaged.code(), StatusCode::kInternal);
+  EXPECT_NE(damaged.message().find(middle), std::string::npos) << damaged;
+  EXPECT_EQ(Journal::ReadRange(path, 4)->size(), 1u);  // Live segment only.
+
+  WriteFileBytes(middle, pristine.substr(0, pristine.size() - 5));
+  damaged = Journal::ReadRange(path, 1).status();
+  EXPECT_EQ(damaged.code(), StatusCode::kInternal);
+  EXPECT_NE(damaged.message().find(middle), std::string::npos) << damaged;
+
+  ASSERT_EQ(std::remove(middle.c_str()), 0);
+  damaged = Journal::ReadRange(path, 0).status();
+  EXPECT_EQ(damaged.code(), StatusCode::kInternal);
+  EXPECT_NE(damaged.message().find("missing"), std::string::npos) << damaged;
+  RemoveJournalFiles(path);
 }
 
 // The disk-full drill: an armed `journal.append:N:enospc` clause makes
@@ -867,42 +934,40 @@ TEST(JournalTest, EnospcAppendLeavesTornTailAndRecoveryTruncates) {
   std::remove(path.c_str());
 }
 
-// Disk-full during rotation: the filtered segment's .rotate.tmp runs out
-// of space halfway. The live segment must be untouched and appendable —
-// rotation failure is retryable, never data loss.
-TEST(JournalTest, EnospcRotateLeavesLiveSegmentAppendable) {
+// Disk-full during a seal: the fresh segment's header runs out of space
+// halfway. The live segment must be untouched and appendable — a failed
+// seal is retryable, never data loss.
+TEST(JournalTest, EnospcSealLeavesLiveSegmentAppendable) {
   fault::Reset();
-  const std::string path = TempPath("nimbus_journal_rotate_enospc.waj");
+  const std::string path = TempPath("nimbus_journal_seal_enospc.waj");
   const std::vector<LedgerEntry> entries = SampleEntries();
   WriteJournalWith(path, entries);
   StatusOr<Journal> journal = Journal::Open(path, Journal::Options{});
   ASSERT_TRUE(journal.ok()) << journal.status();
 
   ASSERT_TRUE(fault::Configure("journal.rotate:1:enospc").ok());
-  const Status full = journal->Rotate(3);
+  const Status full = journal->Seal(5);
   fault::Reset();
   EXPECT_EQ(full.code(), StatusCode::kInternal);
   EXPECT_NE(full.message().find("No space left on device"), std::string::npos)
       << full;
 
-  // Live segment untouched: base unchanged, still appendable, and the
-  // next (disarmed) rotation succeeds.
+  // Live segment untouched: base unchanged, nothing sealed, still
+  // appendable, and the next (disarmed) seal succeeds.
   EXPECT_EQ(journal->base_sequence(), 0);
+  EXPECT_TRUE(Journal::SealedSegments(path).empty());
   LedgerEntry next = entries[0];
   next.sequence = 5;
   ASSERT_TRUE(journal->Append(next).ok());
-  ASSERT_TRUE(journal->Rotate(3).ok());
-  EXPECT_EQ(journal->base_sequence(), 3);
+  ASSERT_TRUE(journal->Seal(6).ok());
+  EXPECT_EQ(journal->base_sequence(), 6);
   ASSERT_TRUE(journal->Close().ok());
 
-  Journal::RecoveryReport report;
-  StatusOr<std::vector<LedgerEntry>> back = Journal::Replay(path, &report);
+  StatusOr<std::vector<LedgerEntry>> back = Journal::ReadRange(path, 0);
   ASSERT_TRUE(back.ok()) << back.status();
-  EXPECT_EQ(report.base_sequence, 3);
-  EXPECT_EQ(back->size(), 3u);  // Sequences 3, 4, 5.
-  std::remove(path.c_str());
-  std::remove((path + ".prev").c_str());
-  std::remove((path + ".rotate.tmp").c_str());
+  ASSERT_EQ(back->size(), 6u);
+  ExpectSameEntry(back->back(), next);
+  RemoveJournalFiles(path);
 }
 
 TEST(JournalTest, ReplayAndIoReadFaultPointsInject) {

@@ -9,6 +9,7 @@
 #include "common/fault.h"
 #include "common/random.h"
 #include "data/synthetic.h"
+#include "market/checkpointer.h"
 #include "market/curves.h"
 #include "market/market_simulator.h"
 #include "market/marketplace.h"
@@ -18,15 +19,10 @@ namespace {
 
 std::string TempDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/" + name;
-  // Fresh per test run: stale journals from a previous invocation must
-  // not leak into this one's restore path.
-  std::remove((dir + "/journal").c_str());
-  std::remove((dir + "/journal.prev").c_str());
-  std::remove((dir + "/journal.manifest").c_str());
-  for (int g = 1; g <= 8; ++g) {
-    char buf[16];
-    std::snprintf(buf, sizeof(buf), "%06d", g);
-    std::remove((dir + "/journal.snap." + buf).c_str());
+  // Fresh per test run: stale journals, segments and snapshots from a
+  // previous invocation must not leak into this one's restore path.
+  for (const std::string& file : RecoveryFiles(dir + "/journal")) {
+    std::remove(file.c_str());
   }
   return dir;
 }
@@ -283,6 +279,40 @@ TEST_F(ShardTest, CheckpointedShardRecoversFromSnapshotPlusTail) {
   EXPECT_GT(report.snapshot_records, 0);
   EXPECT_LT(report.tail_records, 5);
   EXPECT_EQ((*shard->Serve())->ledger().SaleCount(), 5);
+}
+
+// A crash inside a rename window leaves history but no live journal:
+// the format-2 rotation's (only `.prev`) and the seal's (only a sealed
+// segment). Either way the reopened shard restores every acknowledged
+// sale instead of booting empty over it.
+TEST_F(ShardTest, ReopenInRenameCrashWindowRestoresEverySale) {
+  for (const bool sealed : {false, true}) {
+    const std::string dir = TempDir(sealed ? "shard_seal_window"
+                                           : "shard_rotate_window");
+    ShardOptions options;
+    options.dir = dir;
+    const std::string journal = dir + "/journal";
+    {
+      std::unique_ptr<Shard> shard =
+          *Shard::Open("tea", MakeFactory(39), options);
+      std::shared_ptr<Marketplace> market = *shard->Serve();
+      for (int i = 0; i < 7; ++i) {
+        ASSERT_TRUE(BuyOne(*market, "buyer-" + std::to_string(i)).ok());
+      }
+      ASSERT_TRUE(market->FlushJournal().ok());
+    }
+    const std::string moved =
+        sealed ? Journal::SealedSegmentPath(journal, 0) : journal + ".prev";
+    ASSERT_EQ(std::rename(journal.c_str(), moved.c_str()), 0);
+
+    StatusOr<std::unique_ptr<Shard>> reopened =
+        Shard::Open("tea", MakeFactory(39), options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_EQ((*reopened)->state(), ShardState::kServing) << sealed;
+    EXPECT_EQ((*reopened)->market()->ledger().SaleCount(), 7) << sealed;
+    EXPECT_EQ((*reopened)->last_restore_report().source,
+              Marketplace::RestoreReport::Source::kFullReplay);
+  }
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "common/fault.h"
 #include "common/random.h"
 #include "data/synthetic.h"
+#include "market/checkpointer.h"
 #include "market/curves.h"
 #include "market/journal.h"
 #include "market/market_simulator.h"
@@ -44,7 +45,8 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
 }
 
 // A state exercising every section: multiple models, buyers with
-// hostile ids, non-trivial doubles, and a short entry log.
+// hostile ids, non-trivial doubles, and the short entry log the legacy
+// images below carry (the current writer ignores it).
 snapshot::State SampleState() {
   snapshot::State state;
   state.generation = 3;
@@ -72,7 +74,6 @@ snapshot::State SampleState() {
     entry.expected_error = 0.25 / (1 + i);
     state.entries.push_back(std::move(entry));
   }
-  state.entries_loaded = true;
   return state;
 }
 
@@ -113,6 +114,14 @@ void ExpectSameEntries(const std::vector<LedgerEntry>& a,
   }
 }
 
+std::string FromHex(const std::string& hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes += static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16));
+  }
+  return bytes;
+}
+
 // A version-1 image: SampleState() as written by the format before the
 // BRKR section was retired (META, AGGR, COLL, BRKR, LEDG, FOOT), with
 // broker counters {logistic: 2 sales, 22.0; svm: 2 sales, 35.75}.
@@ -141,11 +150,34 @@ std::string VersionOneSampleImage() {
       "00000086000000000000005a04643e434f4c4cca000000000000004b00000000"
       "0000006a2d59a542524b52290100000000000026000000000000005b7aa9664c"
       "4544476301000000000000d000000000000000e1b49477";
-  std::string bytes;
-  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
-    bytes += static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16));
-  }
-  return bytes;
+  return FromHex(hex);
+}
+
+// A version-2 image: SampleState() as written by the format before rows
+// moved to sealed journal segments (META, AGGR, COLL, LEDG, FOOT).
+std::string VersionTwoSampleImage() {
+  return FromHex(
+      "4e494d42555353314d4554410000000014000000000000000957996802000000"
+      "0300000000000000040000000000000041474752000000008600000000000000"
+      "5a04643e0000000000e04c4002000000010000000000003640020000000000e0"
+      "4140020000000102000000000000000202000000000000000200000000000000"
+      "0000004002000000000000000000000000001040020000000000000002000000"
+      "05000000616c69636500000000000036400d000000626f622c226576696c220a"
+      "69640000000000e04140434f4c4c000000004b000000000000006a2d59a50100"
+      "0000010200000005000000616c69636502000000000000000000104000000000"
+      "000036400d000000626f622c226576696c220a69640200000000000000000020"
+      "400000000000e041404c45444700000000d000000000000000e1b49477040000"
+      "00000000002a0000000000000000000000010000000000000040000000000000"
+      "2640000000000000d03f05000000616c69636532000000010000000000000002"
+      "00000000000010400000000000e03140000000000000c03f0d000000626f622c"
+      "226576696c220a69642a00000002000000000000000100000000000000400000"
+      "000000002640555555555555b53f05000000616c696365320000000300000000"
+      "0000000200000000000010400000000000e03140000000000000b03f0d000000"
+      "626f622c226576696c220a6964464f4f54000000006400000000000000964911"
+      "bd040000004d4554410800000000000000140000000000000009579968414747"
+      "52300000000000000086000000000000005a04643e434f4c4cca000000000000"
+      "004b000000000000006a2d59a54c4544472901000000000000d0000000000000"
+      "00e1b49477");
 }
 
 TEST(SnapshotTest, WriteReadRoundTripIsBitIdentical) {
@@ -153,19 +185,20 @@ TEST(SnapshotTest, WriteReadRoundTripIsBitIdentical) {
   const snapshot::State state = SampleState();
   StatusOr<int64_t> bytes = snapshot::Write(path, state);
   ASSERT_TRUE(bytes.ok()) << bytes.status();
-  EXPECT_EQ(*bytes, static_cast<int64_t>(ReadFileBytes(path).size()));
+  const std::string image = ReadFileBytes(path);
+  EXPECT_EQ(*bytes, static_cast<int64_t>(image.size()));
+  // Live state only: no entry log rides along.
+  EXPECT_EQ(image.find("LEDG"), std::string::npos);
 
-  snapshot::ReadOptions deep;
-  deep.load_entries = true;
-  StatusOr<snapshot::State> back = snapshot::Read(path, deep);
+  StatusOr<snapshot::State> back = snapshot::Read(path);
   ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(back->version, 3u);
   ExpectSameAggregates(state, *back);
-  ASSERT_TRUE(back->entries_loaded);
-  ExpectSameEntries(state.entries, back->entries);
+  EXPECT_TRUE(back->entries.empty());
   std::remove(path.c_str());
 }
 
-// Journal directories checkpointed by the previous format keep their
+// Journal directories checkpointed by the previous formats keep their
 // snapshot rungs: a version-1 image still reads, its BRKR section is
 // CRC-checked and dropped, and the rest restores bit-identically.
 TEST(SnapshotTest, ReadsVersionOneImageAndDropsBrokerSection) {
@@ -175,15 +208,11 @@ TEST(SnapshotTest, ReadsVersionOneImageAndDropsBrokerSection) {
   WriteFileBytes(path, bytes);
 
   const snapshot::State state = SampleState();
-  snapshot::ReadOptions deep;
-  deep.load_entries = true;
-  StatusOr<snapshot::State> back = snapshot::Read(path, deep);
+  StatusOr<snapshot::State> back = snapshot::Read(path);
   ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(back->version, 1u);
   ExpectSameAggregates(state, *back);
   ExpectSameEntries(state.entries, back->entries);
-  StatusOr<snapshot::State> shallow = snapshot::Read(path);
-  ASSERT_TRUE(shallow.ok()) << shallow.status();
-  EXPECT_EQ(shallow->total_revenue, state.total_revenue);
 
   // The dropped section is still integrity-checked: a flip in the BRKR
   // payload rejects the file.
@@ -201,66 +230,68 @@ TEST(SnapshotTest, ReadsVersionOneImageAndDropsBrokerSection) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotTest, ShallowReadValidatesEverythingWithoutLoadingEntries) {
-  const std::string path = TempPath("nimbus_snapshot_shallow.snap");
+// A version-2 image reads with its LEDG entry log, CRC-checked like
+// every section: a flip in the rows rejects the file.
+TEST(SnapshotTest, ReadsVersionTwoImageAndItsEntryLog) {
+  const std::string path = TempPath("nimbus_snapshot_v2.snap");
+  const std::string bytes = VersionTwoSampleImage();
+  ASSERT_EQ(bytes.size(), 645u);
+  WriteFileBytes(path, bytes);
+
   const snapshot::State state = SampleState();
-  ASSERT_TRUE(snapshot::Write(path, state).ok());
+  StatusOr<snapshot::State> back = snapshot::Read(path);
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(back->version, 2u);
+  ExpectSameAggregates(state, *back);
+  ExpectSameEntries(state.entries, back->entries);
 
-  StatusOr<snapshot::State> shallow = snapshot::Read(path);
-  ASSERT_TRUE(shallow.ok()) << shallow.status();
-  EXPECT_FALSE(shallow->entries_loaded);
-  EXPECT_TRUE(shallow->entries.empty());
-  EXPECT_EQ(shallow->sequence, state.sequence);
-  EXPECT_EQ(shallow->total_revenue, state.total_revenue);
-
-  StatusOr<std::vector<LedgerEntry>> entries = snapshot::ReadEntries(path);
-  ASSERT_TRUE(entries.ok()) << entries.status();
-  EXPECT_EQ(entries->size(), state.entries.size());
+  const size_t ledg = bytes.find("LEDG");
+  ASSERT_NE(ledg, std::string::npos);
+  std::string corrupted = bytes;
+  const size_t payload = ledg + 40;  // Inside the first row.
+  corrupted[payload] = static_cast<char>(corrupted[payload] ^ 0x01);
+  WriteFileBytes(path, corrupted);
+  EXPECT_FALSE(snapshot::Read(path).ok());
   std::remove(path.c_str());
 }
 
-// Property: a snapshot truncated at ANY byte offset is rejected — both
-// by the shallow (footer-walking) reader the recovery ladder uses and
-// by the entry loader. No prefix of a valid snapshot is a valid
-// snapshot.
+// The images the byte-level properties below run over: the current
+// writer's, and a legacy one whose LEDG rows the reader decodes.
+std::vector<std::string> PropertyImages(const std::string& path) {
+  EXPECT_TRUE(snapshot::Write(path, SampleState()).ok());
+  return {ReadFileBytes(path), VersionTwoSampleImage()};
+}
+
+// Property: a snapshot truncated at ANY byte offset is rejected. No
+// prefix of a valid snapshot is a valid snapshot.
 TEST(SnapshotTest, TruncationAtEveryByteOffsetIsRejected) {
   const std::string path = TempPath("nimbus_snapshot_trunc.snap");
-  const snapshot::State state = SampleState();
-  ASSERT_TRUE(snapshot::Write(path, state).ok());
-  const std::string bytes = ReadFileBytes(path);
-  ASSERT_GT(bytes.size(), 100u);
-
-  for (size_t length = 0; length < bytes.size(); ++length) {
-    WriteFileBytes(path, bytes.substr(0, length));
-    EXPECT_FALSE(snapshot::Read(path).ok())
-        << "shallow read accepted a snapshot truncated to " << length
-        << " of " << bytes.size() << " bytes";
-    EXPECT_FALSE(snapshot::ReadEntries(path).ok())
-        << "entry load accepted a snapshot truncated to " << length
-        << " of " << bytes.size() << " bytes";
+  for (const std::string& bytes : PropertyImages(path)) {
+    ASSERT_GT(bytes.size(), 100u);
+    for (size_t length = 0; length < bytes.size(); ++length) {
+      WriteFileBytes(path, bytes.substr(0, length));
+      EXPECT_FALSE(snapshot::Read(path).ok())
+          << "read accepted a snapshot truncated to " << length << " of "
+          << bytes.size() << " bytes";
+    }
   }
   std::remove(path.c_str());
 }
 
-// Property: flipping one bit anywhere in the image is rejected by the
-// deep read — section payloads and headers are all CRC-covered, and the
-// footer cross-checks the headers. (The shallow read must reject every
-// flip outside the LEDG payload; a LEDG payload flip is the one case it
-// intentionally defers to hydration.)
+// Property: flipping one bit anywhere in the image is rejected — section
+// payloads and headers are all CRC-covered, and the footer cross-checks
+// the headers.
 TEST(SnapshotTest, BitFlipAtEveryByteIsRejected) {
   const std::string path = TempPath("nimbus_snapshot_flip.snap");
-  const snapshot::State state = SampleState();
-  ASSERT_TRUE(snapshot::Write(path, state).ok());
-  const std::string bytes = ReadFileBytes(path);
-
-  for (size_t offset = 0; offset < bytes.size(); ++offset) {
-    std::string corrupted = bytes;
-    corrupted[offset] = static_cast<char>(corrupted[offset] ^ 0x40);
-    WriteFileBytes(path, corrupted);
-    snapshot::ReadOptions deep;
-    deep.load_entries = true;
-    EXPECT_FALSE(snapshot::Read(path, deep).ok())
-        << "deep read accepted a bit flip at byte " << offset;
+  for (const std::string& bytes : PropertyImages(path)) {
+    for (size_t offset = 0; offset < bytes.size(); ++offset) {
+      std::string corrupted = bytes;
+      corrupted[offset] = static_cast<char>(corrupted[offset] ^ 0x40);
+      WriteFileBytes(path, corrupted);
+      EXPECT_FALSE(snapshot::Read(path).ok())
+          << "read accepted a bit flip at byte " << offset << " of "
+          << bytes.size();
+    }
   }
   std::remove(path.c_str());
 }
@@ -413,11 +444,39 @@ Marketplace MakeMarket(uint64_t seed) {
   return market;
 }
 
-// One marketplace history with two committed generations and a journal
-// tail past the newest, plus the reference state a restore must match.
+bool FileExists(const std::string& path) {
+  return std::ifstream(path).good();
+}
+
+void RemoveRecoveryFilesOf(const std::string& journal_path) {
+  for (const std::string& file : RecoveryFiles(journal_path)) {
+    std::remove(file.c_str());
+  }
+}
+
+// Ladder fixtures outlive their tests (a test may fail midway); this
+// removes every one of them once the whole binary is done.
+class LadderFileCleanup : public ::testing::Environment {
+ public:
+  static std::vector<std::string>& Paths() {
+    static std::vector<std::string> paths;
+    return paths;
+  }
+  void TearDown() override {
+    for (const std::string& path : Paths()) {
+      RemoveRecoveryFilesOf(path);
+    }
+  }
+};
+const ::testing::Environment* const kLadderFileCleanup =
+    ::testing::AddGlobalTestEnvironment(new LadderFileCleanup);
+
+// One marketplace history with `checkpoints` committed generations and a
+// journal tail past the newest, plus the reference state a restore must
+// match.
 struct LadderFixture {
   std::string journal_path;
-  std::string newest_snapshot;    // Generation 2's file.
+  std::string newest_snapshot;    // The newest generation's file.
   std::string pristine_newest;    // Its uncorrupted bytes.
   double total_revenue = 0.0;
   std::string csv;
@@ -425,16 +484,12 @@ struct LadderFixture {
   std::vector<std::string> suspicious;
 };
 
-LadderFixture BuildLadderFixture(const std::string& tag) {
+LadderFixture BuildLadderFixture(const std::string& tag,
+                                 int64_t checkpoints = 2) {
   LadderFixture fixture;
   fixture.journal_path = TempPath(tag);
-  std::remove(fixture.journal_path.c_str());
-  std::remove((fixture.journal_path + ".prev").c_str());
-  std::remove(snapshot::ManifestPath(fixture.journal_path).c_str());
-  for (int64_t generation = 1; generation <= 4; ++generation) {
-    std::remove(
-        snapshot::SnapshotPath(fixture.journal_path, generation).c_str());
-  }
+  RemoveRecoveryFilesOf(fixture.journal_path);
+  LadderFileCleanup::Paths().push_back(fixture.journal_path);
 
   Marketplace market = MakeMarket(17);
   EXPECT_TRUE(market.EnableJournal(fixture.journal_path).ok());
@@ -446,23 +501,30 @@ LadderFixture BuildLadderFixture(const std::string& tag) {
                                                      "zero_one");
     EXPECT_TRUE(purchase.ok()) << purchase.status();
   };
-  // Generation 1 covers 4 records.
+  // Generation 1 covers 4 records (the journal is sealed at 4).
   buy("alice", ml::ModelKind::kLogisticRegression, 10.0);
   buy("alice", ml::ModelKind::kLogisticRegression, 10.0);
   buy("bob,\"evil\"\nid", ml::ModelKind::kLinearSvm, 5.0);
   buy("carol", ml::ModelKind::kLinearSvm, 25.0);
   EXPECT_EQ(*market.CheckpointNow(), 1);
-  // Generation 2 covers 7 (journal rotated down to base 4).
+  // Generation 2 covers 7 (sealed again at 7).
   buy("alice", ml::ModelKind::kLinearSvm, 5.0);
   buy("dave", ml::ModelKind::kLogisticRegression, 2.0);
   buy("carol", ml::ModelKind::kLinearSvm, 25.0);
   EXPECT_EQ(*market.CheckpointNow(), 2);
+  // Each further generation covers two more records.
+  for (int64_t generation = 3; generation <= checkpoints; ++generation) {
+    buy("frank", ml::ModelKind::kLinearSvm, 5.0 + generation);
+    buy("dave", ml::ModelKind::kLogisticRegression, 2.0 * generation);
+    EXPECT_EQ(*market.CheckpointNow(), generation);
+  }
   // Two tail records past the newest generation.
   buy("erin", ml::ModelKind::kLogisticRegression, 10.0);
   buy("alice", ml::ModelKind::kLogisticRegression, 10.0);
   EXPECT_TRUE(market.FlushJournal().ok());
 
-  fixture.newest_snapshot = snapshot::SnapshotPath(fixture.journal_path, 2);
+  fixture.newest_snapshot =
+      snapshot::SnapshotPath(fixture.journal_path, checkpoints);
   fixture.pristine_newest = ReadFileBytes(fixture.newest_snapshot);
   fixture.total_revenue = market.total_revenue();
   fixture.csv = market.ledger().ToCsv();
@@ -583,10 +645,36 @@ TEST(SnapshotLadderTest, BothGenerationsCorruptFallsBackToFullReplay) {
   ASSERT_TRUE(status.ok()) << status;
   EXPECT_EQ(report.source, Marketplace::RestoreReport::Source::kFullReplay);
   EXPECT_EQ(report.generation, 0);
-  // Full replay stitches `.prev` records [0,4) to the live segment's
-  // [4,9) — the rotation chain covers history even with no snapshot.
+  // Full replay stitches the sealed segments [0,4) and [4,7) to the live
+  // segment's [7,9) — the chain covers history even with no snapshot.
   EXPECT_EQ(report.tail_records, 9);
   EXPECT_EQ(report.snapshots_rejected, 2);
+  ExpectBitIdenticalRestore(fixture, restored);
+}
+
+// The last rung stays reachable however many checkpoints pruned the
+// early generations: sealed segments are never pruned.
+TEST(SnapshotLadderTest, BothGenerationsCorruptAfterManyCheckpointsFullReplays) {
+  const LadderFixture fixture =
+      BuildLadderFixture("nimbus_ladder_full_many.waj", /*checkpoints=*/5);
+  ASSERT_EQ(snapshot::ListGenerations(fixture.journal_path),
+            (std::vector<int64_t>{5, 4}));
+  for (const int64_t generation : {4, 5}) {
+    const std::string file =
+        snapshot::SnapshotPath(fixture.journal_path, generation);
+    std::string bytes = ReadFileBytes(file);
+    bytes[bytes.size() / 2] ^= 0x20;
+    WriteFileBytes(file, bytes);
+  }
+
+  Marketplace restored = MakeMarket(17);
+  Marketplace::RestoreReport report;
+  Status status = restored.RestoreFromCheckpoint(
+      fixture.journal_path, Marketplace::RestoreOptions{}, &report);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(report.source, Marketplace::RestoreReport::Source::kFullReplay);
+  EXPECT_EQ(report.snapshots_rejected, 2);
+  EXPECT_EQ(report.tail_records, 15);
   ExpectBitIdenticalRestore(fixture, restored);
 }
 
@@ -602,7 +690,7 @@ TEST(SnapshotLadderTest, DeferredHydrationRestoresAggregatesThenRows) {
   ASSERT_TRUE(status.ok()) << status;
   EXPECT_EQ(report.source, Marketplace::RestoreReport::Source::kSnapshot);
   EXPECT_FALSE(restored.ledger().hydrated());
-  // Aggregate queries work without touching the snapshot's entry log.
+  // Aggregate queries work without touching the sealed segments.
   EXPECT_EQ(restored.total_revenue(), fixture.total_revenue);
   EXPECT_EQ(restored.ledger().SalesPerPricePoint(),
             fixture.sales_per_price_point);
@@ -613,14 +701,77 @@ TEST(SnapshotLadderTest, DeferredHydrationRestoresAggregatesThenRows) {
   EXPECT_EQ(restored.ledger().ToCsv(), fixture.csv);
 }
 
-TEST(SnapshotLadderTest, RestoreSurvivesRotationRenameCrashWindow) {
+// A checkpoint no longer needs the rows, so a deferred restore stays
+// unhydrated through its next cadence checkpoint — and hydrates exactly
+// afterwards.
+TEST(SnapshotLadderTest, DeferredRestoreStaysUnhydratedThroughCadenceCheckpoint) {
   const LadderFixture fixture =
-      BuildLadderFixture("nimbus_ladder_rename.waj");
-  // Emulate a crash between Rotate's two renames: the live segment is
-  // gone and only `.prev` (the full pre-rotation file) remains.
-  const std::string live_bytes = ReadFileBytes(fixture.journal_path);
-  WriteFileBytes(fixture.journal_path + ".prev", live_bytes);
-  ASSERT_EQ(std::remove(fixture.journal_path.c_str()), 0);
+      BuildLadderFixture("nimbus_ladder_deferred_cadence.waj");
+  Marketplace restored = MakeMarket(17);
+  Marketplace::RestoreOptions options;
+  options.hydrate = false;
+  ASSERT_TRUE(
+      restored.RestoreFromCheckpoint(fixture.journal_path, options).ok());
+  CheckpointPolicy policy;
+  policy.every_records = 3;
+  ASSERT_TRUE(restored.EnableCheckpoints(policy).ok());
+  ASSERT_TRUE(
+      restored.Buy("gina", ml::ModelKind::kLinearSvm, 5.0, "zero_one").ok());
+  EXPECT_EQ(restored.CheckpointStats()->last_generation, 3);
+  EXPECT_EQ(restored.CheckpointStats()->last_sequence, 10);
+  EXPECT_FALSE(restored.ledger().hydrated());
+
+  ASSERT_TRUE(restored.HydrateLedger().ok());
+  const std::string csv = restored.ledger().ToCsv();
+  EXPECT_EQ(csv.rfind(fixture.csv, 0), 0u);  // The old rows, then gina's.
+  Marketplace again = MakeMarket(17);
+  Marketplace::RestoreReport report;
+  ASSERT_TRUE(again
+                  .RestoreFromCheckpoint(fixture.journal_path,
+                                         Marketplace::RestoreOptions{}, &report)
+                  .ok());
+  EXPECT_EQ(report.generation, 3);
+  EXPECT_EQ(again.ledger().ToCsv(), csv);
+}
+
+// Sealed segments are the only copy of the rows: a rotted one fails a
+// hydrating restore (every rung needs it) with a Status naming the file,
+// never a short ledger. A deferred restore does not open it, and its
+// Hydrate fails the same way.
+TEST(SnapshotLadderTest, RottedSealedSegmentFailsHydrationNamingTheFile) {
+  const LadderFixture fixture =
+      BuildLadderFixture("nimbus_ladder_rotted_segment.waj");
+  const std::string segment =
+      Journal::SealedSegmentPath(fixture.journal_path, 0);
+  std::string bytes = ReadFileBytes(segment);
+  bytes[bytes.size() - 2] ^= 0x08;
+  WriteFileBytes(segment, bytes);
+
+  Marketplace restored = MakeMarket(17);
+  const Status status = restored.RestoreFromCheckpoint(fixture.journal_path);
+  EXPECT_EQ(status.code(), StatusCode::kInternal);
+  EXPECT_NE(status.message().find(segment), std::string::npos) << status;
+  EXPECT_EQ(restored.ledger().size(), 0);
+
+  Marketplace deferred = MakeMarket(17);
+  Marketplace::RestoreOptions options;
+  options.hydrate = false;
+  ASSERT_TRUE(
+      deferred.RestoreFromCheckpoint(fixture.journal_path, options).ok());
+  EXPECT_EQ(deferred.total_revenue(), fixture.total_revenue);
+  const Status hydrated = deferred.HydrateLedger();
+  EXPECT_EQ(hydrated.code(), StatusCode::kInternal);
+  EXPECT_NE(hydrated.message().find(segment), std::string::npos) << hydrated;
+}
+
+TEST(SnapshotLadderTest, RestoreSurvivesSealRenameCrashWindow) {
+  const LadderFixture fixture = BuildLadderFixture("nimbus_ladder_seal.waj");
+  // Emulate a crash between a seal's two renames: the live segment was
+  // renamed to its sealed name and the fresh one never installed.
+  ASSERT_EQ(std::rename(fixture.journal_path.c_str(),
+                        Journal::SealedSegmentPath(fixture.journal_path, 7)
+                            .c_str()),
+            0);
 
   Marketplace restored = MakeMarket(17);
   Marketplace::RestoreReport report;
@@ -628,8 +779,9 @@ TEST(SnapshotLadderTest, RestoreSurvivesRotationRenameCrashWindow) {
       fixture.journal_path, Marketplace::RestoreOptions{}, &report);
   ASSERT_TRUE(status.ok()) << status;
   EXPECT_EQ(report.source, Marketplace::RestoreReport::Source::kSnapshot);
+  EXPECT_EQ(report.tail_records, 2);
   ExpectBitIdenticalRestore(fixture, restored);
-  // The live segment was recreated for new appends at the restored
+  // The live segment was re-created for new appends at the restored
   // sequence.
   Journal::RecoveryReport journal_report;
   ASSERT_TRUE(
@@ -638,12 +790,15 @@ TEST(SnapshotLadderTest, RestoreSurvivesRotationRenameCrashWindow) {
   ASSERT_TRUE(restored
                   .Buy("gina", ml::ModelKind::kLinearSvm, 5.0, "zero_one")
                   .ok());
+  ASSERT_TRUE(restored.FlushJournal().ok());
+  Marketplace again = MakeMarket(17);
+  ASSERT_TRUE(again.RestoreFromCheckpoint(fixture.journal_path).ok());
+  EXPECT_EQ(again.ledger().ToCsv(), restored.ledger().ToCsv());
 }
 
 TEST(SnapshotLadderTest, RestoreRejectsNonEmptyMarketAndMissingEverything) {
   const std::string path = TempPath("nimbus_ladder_missing.waj");
-  std::remove(path.c_str());
-  std::remove((path + ".prev").c_str());
+  RemoveRecoveryFilesOf(path);
   Marketplace fresh = MakeMarket(17);
   EXPECT_EQ(fresh.RestoreFromCheckpoint(path).code(), StatusCode::kNotFound);
 
@@ -652,6 +807,213 @@ TEST(SnapshotLadderTest, RestoreRejectsNonEmptyMarketAndMissingEverything) {
       busy.Buy("carol", ml::ModelKind::kLinearSvm, 5.0, "zero_one").ok());
   EXPECT_EQ(busy.RestoreFromCheckpoint(path).code(),
             StatusCode::kFailedPrecondition);
+}
+
+// ---------------------------------------------------------------------------
+// Directories written under snapshot format 2, by the rotating journal:
+// checkpoints at 4, 7 and 9 over the history below, two more sales, so
+// generations 2 and 3 hold LEDG logs, the live segment starts at 7, and
+// `.prev` holds [4, 9). Rows [0, 4) exist only in the snapshots.
+
+struct LegacySale {
+  const char* buyer;
+  ml::ModelKind model;
+  double x;
+};
+
+constexpr LegacySale kLegacySales[] = {
+    {"alice", ml::ModelKind::kLogisticRegression, 10.0},
+    {"alice", ml::ModelKind::kLogisticRegression, 10.0},
+    {"bob,\"evil\"\nid", ml::ModelKind::kLinearSvm, 5.0},
+    {"carol", ml::ModelKind::kLinearSvm, 25.0},
+    {"alice", ml::ModelKind::kLinearSvm, 5.0},
+    {"dave", ml::ModelKind::kLogisticRegression, 2.0},
+    {"carol", ml::ModelKind::kLinearSvm, 25.0},
+    {"erin", ml::ModelKind::kLogisticRegression, 10.0},
+    {"alice", ml::ModelKind::kLogisticRegression, 10.0},
+    {"frank", ml::ModelKind::kLinearSvm, 5.0},
+    {"dave", ml::ModelKind::kLogisticRegression, 40.0},
+};
+
+// The oracle: the first `n` legacy sales fed into a fresh marketplace.
+std::string LegacyCsv(size_t n) {
+  Marketplace market = MakeMarket(17);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(market
+                    .Buy(kLegacySales[i].buyer, kLegacySales[i].model,
+                         kLegacySales[i].x, "zero_one")
+                    .ok());
+  }
+  return market.ledger().ToCsv();
+}
+
+// Writes the format-2 directory's files at `journal_path`.
+void WriteVersionTwoDirectory(const std::string& journal_path,
+                              bool with_live_segment) {
+  RemoveRecoveryFilesOf(journal_path);
+  WriteFileBytes(snapshot::SnapshotPath(journal_path, 2), FromHex(
+      "4e494d42555353314d4554410000000014000000000000007bc17e4802000000"
+      "020000000000000007000000000000004147475200000000c700000000000000"
+      "897e0c6b5934c50b424172400200000001951ba58011ff594002e6da3757fb82"
+      "6740020000000103000000000000000204000000000000000400000000000000"
+      "0000004001000000000000000000000000001440020000000000000000000000"
+      "0000244002000000000000000000000000003940020000000000000004000000"
+      "05000000616c696365cd62bdd6d9975e400d000000626f622c226576696c220a"
+      "696474854c9337a53e40050000006361726f6c1373c9e45ab35f400400000064"
+      "6176652ad1d6752c842840434f4c4c00000000a600000000000000cb80c40402"
+      "000000010200000005000000616c6963650200000000000000000034407041ea"
+      "f18bee564004000000646176650100000000000000000000402ad1d6752c8428"
+      "40020300000005000000616c69636501000000000000000000144074854c9337"
+      "a53e400d000000626f622c226576696c220a6964010000000000000000001440"
+      "74854c9337a53e40050000006361726f6c0200000000000000000049401373c9"
+      "e45ab35f404c454447000000005101000000000000f01b12b307000000000000"
+      "002a00000000000000000000000100000000000024407041eaf18bee4640660b"
+      "c2a8d93fcf3f05000000616c6963652a00000001000000000000000100000000"
+      "000024407041eaf18bee4640660bc2a8d93fcf3f05000000616c696365320000"
+      "00020000000000000002000000000000144074854c9337a53e40b821175ff4a7"
+      "d23f0d000000626f622c226576696c220a69642a000000030000000000000002"
+      "00000000000039401373c9e45ab34f405dfccfd6107ece3f050000006361726f"
+      "6c2a000000040000000000000002000000000000144074854c9337a53e40b821"
+      "175ff4a7d23f05000000616c6963652900000005000000000000000100000000"
+      "000000402ad1d6752c842840ead6520a0de8d03f04000000646176652a000000"
+      "06000000000000000200000000000039401373c9e45ab34f405dfccfd6107ece"
+      "3f050000006361726f6c464f4f5400000000640000000000000021bfdcc60400"
+      "00004d455441080000000000000014000000000000007bc17e48414747523000"
+      "000000000000c700000000000000897e0c6b434f4c4c0b01000000000000a600"
+      "000000000000cb80c4044c454447c5010000000000005101000000000000f01b"
+      "12b3"));
+  WriteFileBytes(snapshot::SnapshotPath(journal_path, 3), FromHex(
+      "4e494d42555353314d455441000000001400000000000000d8429cf302000000"
+      "030000000000000009000000000000004147475200000000d700000000000000"
+      "f187e2b1b5c43f08e5fc7740020000000182ae47b9ce76684002e6da3757fb82"
+      "6740020000000105000000000000000204000000000000000400000000000000"
+      "0000004001000000000000000000000000001440020000000000000000000000"
+      "0000244004000000000000000000000000003940020000000000000005000000"
+      "05000000616c696365c241d9e78f0765400d000000626f622c226576696c220a"
+      "696474854c9337a53e40050000006361726f6c1373c9e45ab35f400400000064"
+      "6176652ad1d6752c842840040000006572696e7041eaf18bee4640434f4c4c00"
+      "000000c200000000000000670d86e202000000010300000005000000616c6963"
+      "65030000000000000000003e4014b16ff5e83261400400000064617665010000"
+      "0000000000000000402ad1d6752c842840040000006572696e01000000000000"
+      "00000024407041eaf18bee4640020300000005000000616c6963650100000000"
+      "0000000000144074854c9337a53e400d000000626f622c226576696c220a6964"
+      "01000000000000000000144074854c9337a53e40050000006361726f6c020000"
+      "0000000000000049401373c9e45ab35f404c45444700000000ac010000000000"
+      "0077e625c809000000000000002a000000000000000000000001000000000000"
+      "24407041eaf18bee4640660bc2a8d93fcf3f05000000616c6963652a00000001"
+      "000000000000000100000000000024407041eaf18bee4640660bc2a8d93fcf3f"
+      "05000000616c6963653200000002000000000000000200000000000014407485"
+      "4c9337a53e40b821175ff4a7d23f0d000000626f622c226576696c220a69642a"
+      "00000003000000000000000200000000000039401373c9e45ab34f405dfccfd6"
+      "107ece3f050000006361726f6c2a000000040000000000000002000000000000"
+      "144074854c9337a53e40b821175ff4a7d23f05000000616c6963652900000005"
+      "000000000000000100000000000000402ad1d6752c842840ead6520a0de8d03f"
+      "04000000646176652a00000006000000000000000200000000000039401373c9"
+      "e45ab34f405dfccfd6107ece3f050000006361726f6c29000000070000000000"
+      "00000100000000000024407041eaf18bee4640660bc2a8d93fcf3f0400000065"
+      "72696e2a00000008000000000000000100000000000024407041eaf18bee4640"
+      "660bc2a8d93fcf3f05000000616c696365464f4f540000000064000000000000"
+      "00c3ba1bc5040000004d45544108000000000000001400000000000000d8429c"
+      "f3414747523000000000000000d700000000000000f187e2b1434f4c4c1b0100"
+      "0000000000c200000000000000670d86e24c454447f101000000000000ac0100"
+      "000000000077e625c8"));
+  WriteFileBytes(snapshot::ManifestPath(journal_path), FromHex(
+      "4e494d4255534d310a67656e65726174696f6e20330a73657175656e63652039"
+      "0a707265765f67656e65726174696f6e20320a707265765f73657175656e6365"
+      "20370a637263203338323633373736330a"));
+  WriteFileBytes(journal_path + ".prev", FromHex(
+      "4e494d4255534a32040000000000000093d168e12a000000e147895d04000000"
+      "0000000002000000000000144074854c9337a53e40b821175ff4a7d23f050000"
+      "00616c69636529000000dd6c583505000000000000000100000000000000402a"
+      "d1d6752c842840ead6520a0de8d03f04000000646176652a000000fe231cf006"
+      "000000000000000200000000000039401373c9e45ab34f405dfccfd6107ece3f"
+      "050000006361726f6c290000001161bf5d070000000000000001000000000000"
+      "24407041eaf18bee4640660bc2a8d93fcf3f040000006572696e2a00000014af"
+      "71ba08000000000000000100000000000024407041eaf18bee4640660bc2a8d9"
+      "3fcf3f05000000616c696365"));
+  if (with_live_segment) {
+    WriteFileBytes(journal_path, FromHex(
+        "4e494d4255534a32070000000000000070d6e76f290000001161bf5d07000000"
+        "000000000100000000000024407041eaf18bee4640660bc2a8d93fcf3f040000"
+        "006572696e2a00000014af71ba08000000000000000100000000000024407041"
+        "eaf18bee4640660bc2a8d93fcf3f05000000616c6963652a0000008d10bd4209"
+        "0000000000000002000000000000144074854c9337a53e40b821175ff4a7d23f"
+        "050000006672616e6b290000000a2f78ed0a0000000000000001000000000000"
+        "444036486018f7905240723d0ad7a370cd3f0400000064617665"));
+  }
+}
+
+// A format-2 directory restores byte-identically, moves its rows onto
+// sealed segments, and keeps every row after three format-3
+// checkpoints prune both format-2 generations.
+TEST(SnapshotLadderTest, VersionTwoDirectoryUpgradesAndSurvivesPruning) {
+  const std::string path = TempPath("nimbus_ladder_v2.waj");
+  WriteVersionTwoDirectory(path, /*with_live_segment=*/true);
+  const std::string expected = LegacyCsv(std::size(kLegacySales));
+
+  Marketplace restored = MakeMarket(17);
+  Marketplace::RestoreReport report;
+  Status status = restored.RestoreFromCheckpoint(
+      path, Marketplace::RestoreOptions{}, &report);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(report.source, Marketplace::RestoreReport::Source::kSnapshot);
+  EXPECT_EQ(report.generation, 3);
+  EXPECT_EQ(report.snapshot_records, 9);
+  EXPECT_EQ(report.tail_records, 2);
+  EXPECT_EQ(restored.ledger().ToCsv(), expected);
+  // Rows [0, 7) moved into the first sealed segment; `.prev` is gone.
+  EXPECT_EQ(Journal::SealedSegments(path), std::vector<int64_t>{0});
+  EXPECT_FALSE(FileExists(path + ".prev"));
+
+  ASSERT_TRUE(restored.EnableCheckpoints(CheckpointPolicy{}).ok());
+  for (int64_t generation = 4; generation <= 6; ++generation) {
+    ASSERT_TRUE(restored
+                    .Buy("gina", ml::ModelKind::kLinearSvm,
+                         3.0 + static_cast<double>(generation), "zero_one")
+                    .ok());
+    ASSERT_EQ(*restored.CheckpointNow(), generation);
+  }
+  ASSERT_EQ(snapshot::ListGenerations(path), (std::vector<int64_t>{6, 5}));
+  const std::string csv = restored.ledger().ToCsv();
+  EXPECT_EQ(csv.rfind(expected, 0), 0u);
+
+  for (const bool hydrate : {true, false}) {
+    Marketplace again = MakeMarket(17);
+    Marketplace::RestoreOptions options;
+    options.hydrate = hydrate;
+    ASSERT_TRUE(again.RestoreFromCheckpoint(path, options).ok());
+    ASSERT_TRUE(again.HydrateLedger().ok());
+    EXPECT_EQ(again.ledger().ToCsv(), csv) << "hydrate=" << hydrate;
+  }
+  RemoveRecoveryFilesOf(path);
+}
+
+// A format-2 directory caught between Rotate's two renames: no live
+// segment, `.prev` holding the whole live history. It restores, and the
+// upgrade seals `.prev` as it stands.
+TEST(SnapshotLadderTest, VersionTwoRotationCrashWindowRestores) {
+  const std::string path = TempPath("nimbus_ladder_v2_window.waj");
+  WriteVersionTwoDirectory(path, /*with_live_segment=*/false);
+  const std::string expected = LegacyCsv(9);  // Sales 9 and 10 never landed.
+
+  Marketplace restored = MakeMarket(17);
+  Marketplace::RestoreReport report;
+  Status status = restored.RestoreFromCheckpoint(
+      path, Marketplace::RestoreOptions{}, &report);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(report.generation, 3);
+  EXPECT_EQ(report.tail_records, 0);
+  EXPECT_EQ(restored.ledger().ToCsv(), expected);
+  EXPECT_EQ(Journal::SealedSegments(path), (std::vector<int64_t>{0, 4}));
+  EXPECT_FALSE(FileExists(path + ".prev"));
+
+  ASSERT_TRUE(
+      restored.Buy("gina", ml::ModelKind::kLinearSvm, 5.0, "zero_one").ok());
+  ASSERT_TRUE(restored.FlushJournal().ok());
+  Marketplace again = MakeMarket(17);
+  ASSERT_TRUE(again.RestoreFromCheckpoint(path).ok());
+  EXPECT_EQ(again.ledger().ToCsv(), restored.ledger().ToCsv());
+  RemoveRecoveryFilesOf(path);
 }
 
 }  // namespace
