@@ -188,6 +188,29 @@ std::string TempJournalPath(const std::string& tag) {
          ".waj";
 }
 
+// A fresh directory under TMPDIR, removed with its contents on
+// destruction. A lineage kept in one lists only its own files when a
+// restore scans the directory, however crowded TMPDIR is.
+class PrivateDir {
+ public:
+  explicit PrivateDir(const std::string& tag)
+      : path_(TempJournalPath(tag) + ".XXXXXX") {
+    if (::mkdtemp(path_.data()) == nullptr) {
+      std::fprintf(stderr, "cannot create a directory from '%s'\n",
+                   path_.c_str());
+      std::exit(2);
+    }
+  }
+  ~PrivateDir() { std::filesystem::remove_all(path_); }
+  PrivateDir(const PrivateDir&) = delete;
+  PrivateDir& operator=(const PrivateDir&) = delete;
+
+  std::string journal() const { return path_ + "/journal"; }
+
+ private:
+  std::string path_;
+};
+
 Marketplace MakeMarket(uint64_t seed) {
   Rng rng(seed);
   nimbus::data::ClassificationSpec spec;
@@ -735,9 +758,8 @@ void RunRecoverySweep(bool fast, uint64_t seed) {
     const int64_t history = histories[h];
     // Checkpointed lineage: cadence snapshots during the feed, so the
     // newest generation sits exactly `tail` records behind the head.
-    const std::string ckpt_path =
-        TempJournalPath("sweep_ckpt_h" + std::to_string(history));
-    RemoveRecoveryFiles(ckpt_path);
+    const PrivateDir ckpt_dir("sweep_ckpt_h" + std::to_string(history));
+    const std::string ckpt_path = ckpt_dir.journal();
     Marketplace ckpt_market = MakeMarket(seed);
     if (!ckpt_market.EnableJournal(ckpt_path, Journal::Options{}).ok()) {
       std::exit(2);
@@ -751,9 +773,8 @@ void RunRecoverySweep(bool fast, uint64_t seed) {
     const std::string ckpt_csv = ckpt_market.ledger().ToCsv();
 
     // Journal-only lineage: the linear-replay control.
-    const std::string full_path =
-        TempJournalPath("sweep_full_h" + std::to_string(history));
-    RemoveRecoveryFiles(full_path);
+    const PrivateDir full_dir("sweep_full_h" + std::to_string(history));
+    const std::string full_path = full_dir.journal();
     Marketplace full_market = MakeMarket(seed);
     if (!full_market.EnableJournal(full_path, Journal::Options{}).ok()) {
       std::exit(2);
@@ -812,8 +833,6 @@ void RunRecoverySweep(bool fast, uint64_t seed) {
     }
     ckpt_ms[h] = best_ckpt;
     full_ms[h] = best_full;
-    RemoveRecoveryFiles(ckpt_path);
-    RemoveRecoveryFiles(full_path);
   }
 
   // The headline claim: 10x more history must NOT mean 10x slower

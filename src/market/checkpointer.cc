@@ -1,12 +1,11 @@
 #include "market/checkpointer.h"
 
-#include <dirent.h>
-
 #include <cstdio>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/telemetry.h"
+#include "market/disk_io.h"
 
 namespace nimbus::market {
 namespace {
@@ -170,21 +169,7 @@ StatusOr<int64_t> Checkpointer::Commit(snapshot::State state,
 }
 
 std::vector<std::string> RecoveryFiles(const std::string& journal_path) {
-  // `prefix` keeps the trailing slash; npos + 1 wraps to 0.
-  const size_t slash = journal_path.find_last_of('/');
-  const std::string prefix = journal_path.substr(0, slash + 1);
-  const std::string name = journal_path.substr(slash + 1);
-  std::vector<std::string> files;
-  if (DIR* dir = ::opendir(prefix.empty() ? "." : prefix.c_str())) {
-    while (const dirent* entry = ::readdir(dir)) {
-      const std::string found = entry->d_name;
-      if (found == name || found.rfind(name + ".", 0) == 0) {
-        files.push_back(prefix + found);
-      }
-    }
-    ::closedir(dir);
-  }
-  return files;
+  return disk::ListFamily(journal_path);
 }
 
 }  // namespace nimbus::market

@@ -83,9 +83,10 @@ class Checkpointer {
 
 // Every file the journal and checkpoint chain at `journal_path` can
 // leave on disk: the live segment and each `<journal_path>.*` sibling
-// (sealed segments, snapshots, the manifest, a legacy `.prev`, temp
-// files of an interrupted write). Shard::Open restores when any exists;
-// tests and drills delete them all to start clean.
+// (sealed segments, snapshots, the manifest, temp files of an
+// interrupted write, and files of earlier formats that restore's
+// upgrader converts). Shard::Open restores when any exists; tests and
+// drills delete them all to start clean.
 std::vector<std::string> RecoveryFiles(const std::string& journal_path);
 
 }  // namespace nimbus::market

@@ -1,127 +1,40 @@
 #include "market/journal.h"
 
-#include <dirent.h>
-#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
 #include "common/fault.h"
 #include "common/logging.h"
+#include "market/disk_io.h"
 
 namespace nimbus::market {
 namespace {
 
-constexpr char kMagic[8] = {'N', 'I', 'M', 'B', 'U', 'S', 'J', '1'};
 // Segment magic: followed by u64 base_sequence + u32 crc32 of those 8
 // bytes (see the class comment).
-constexpr char kMagic2[8] = {'N', 'I', 'M', 'B', 'U', 'S', 'J', '2'};
-constexpr size_t kSegmentHeaderExtra = 12;  // u64 base + u32 crc.
-constexpr size_t kRecordHeaderBytes = 8;    // u32 length + u32 crc.
+constexpr char kMagic[8] = {'N', 'I', 'M', 'B', 'U', 'S', 'J', '2'};
+constexpr size_t kSegmentHeaderBytes = sizeof(kMagic) + 12;
+constexpr size_t kRecordHeaderBytes = 8;  // u32 length + u32 crc.
 // A sale record is a few dozen bytes; anything near this bound is a
 // corrupted length field, not a real record.
 constexpr uint32_t kMaxPayloadBytes = 1u << 20;
 
-void AppendRaw(std::string& out, const void* data, size_t size) {
-  out.append(static_cast<const char*>(data), size);
-}
-
-template <typename T>
-void AppendScalar(std::string& out, T value) {
-  AppendRaw(out, &value, sizeof(value));
-}
-
-template <typename T>
-bool ReadScalar(std::string_view in, size_t& offset, T* value) {
-  if (in.size() - offset < sizeof(T)) {
-    return false;
-  }
-  std::memcpy(value, in.data() + offset, sizeof(T));
-  offset += sizeof(T);
-  return true;
-}
+using disk::AppendScalar;
 
 // Frames one record: u32 length | u32 crc | payload.
 void AppendRecord(std::string& out, std::string_view payload, uint32_t crc) {
   AppendScalar(out, static_cast<uint32_t>(payload.size()));
   AppendScalar(out, crc);
-  AppendRaw(out, payload.data(), payload.size());
-}
-
-// The segment header bytes for a file whose first record has
-// `base_sequence` (the bare J1 magic when it is 0).
-std::string SegmentHeader(int64_t base_sequence) {
-  std::string header;
-  if (base_sequence == 0) {
-    AppendRaw(header, kMagic, sizeof(kMagic));
-    return header;
-  }
-  AppendRaw(header, kMagic2, sizeof(kMagic2));
-  const auto base = static_cast<uint64_t>(base_sequence);
-  AppendScalar(header, base);
-  AppendScalar(header, Journal::Crc32(&base, sizeof(base)));
-  return header;
-}
-
-std::string DirName(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) {
-    return ".";
-  }
-  return slash == 0 ? "/" : path.substr(0, slash);
-}
-
-// Makes a rename in the journal's directory durable.
-Status SyncParentDir(const std::string& path) {
-  const int fd = ::open(DirName(path).c_str(), O_RDONLY);
-  if (fd < 0) {
-    return InternalError("cannot open parent directory of '" + path +
-                         "' for fsync");
-  }
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) {
-    return InternalError("cannot fsync parent directory of '" + path + "'");
-  }
-  return OkStatus();
-}
-
-bool FileExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
-
-// Writes `bytes` to a fresh `path` and fsyncs it. With `inject` set (an
-// armed ENOSPC drill) only the first half lands before the write fails
-// errno-style.
-Status WriteSynced(const std::string& path, const std::string& bytes,
-                   bool inject) {
-  std::FILE* out = std::fopen(path.c_str(), "wb");
-  if (out == nullptr) {
-    return InternalError("cannot open '" + path + "' for writing");
-  }
-  const size_t to_write = inject ? bytes.size() / 2 : bytes.size();
-  if (std::fwrite(bytes.data(), 1, to_write, out) != to_write ||
-      std::fflush(out) != 0 || ::fsync(fileno(out)) != 0 || inject) {
-    std::fclose(out);
-    return InternalError("cannot write '" + path + "'" +
-                         (inject ? ": No space left on device (injected)"
-                                 : ""));
-  }
-  if (std::fclose(out) != 0) {
-    return InternalError("fclose failed on '" + path + "'");
-  }
-  return OkStatus();
+  out += payload;
 }
 
 // One segment of the chain ReadRange stitches. Sealed segments are
-// replayed only once selected; the live and legacy `.prev` files are
-// replayed up front, because only their headers know their bases.
+// replayed only once selected; the live file is replayed up front,
+// because only its header knows its base.
 struct Segment {
   std::string path;
   int64_t base = 0;
@@ -132,9 +45,9 @@ struct Segment {
 };
 
 // Replays one segment and checks that its rows are dense from its
-// header's base. `segment.headerless` marks a live or `.prev` file with
-// no valid header yet (a crash right after creating it): it holds no
-// rows and no base.
+// header's base. `segment.headerless` marks a live file with no valid
+// header yet (a crash right after creating it): it holds no rows and no
+// base.
 Status LoadSegment(Segment& segment, bool heal_torn_tail) {
   Journal::RecoveryReport report;
   Journal::ReplayOptions options;
@@ -169,33 +82,20 @@ Status LoadSegment(Segment& segment, bool heal_torn_tail) {
 }  // namespace
 
 StatusOr<LedgerEntry> Journal::DecodePayload(std::string_view payload) {
+  disk::Reader in(payload);
   LedgerEntry entry;
-  size_t offset = 0;
-  uint8_t kind = 0;
-  uint32_t buyer_len = 0;
-  if (!ReadScalar(payload, offset, &entry.sequence) ||
-      !ReadScalar(payload, offset, &kind) ||
-      !ReadScalar(payload, offset, &entry.inverse_ncp) ||
-      !ReadScalar(payload, offset, &entry.price) ||
-      !ReadScalar(payload, offset, &entry.expected_error) ||
-      !ReadScalar(payload, offset, &buyer_len)) {
-    return InvalidArgumentError("journal payload shorter than fixed fields");
+  entry.sequence = in.Read<int64_t>();
+  const uint8_t kind = in.Read<uint8_t>();
+  entry.inverse_ncp = in.Read<double>();
+  entry.price = in.Read<double>();
+  entry.expected_error = in.Read<double>();
+  const std::string_view buyer = in.ReadString();
+  if (!in.done()) {
+    return InvalidArgumentError(
+        "journal payload does not hold exactly one entry");
   }
-  switch (static_cast<ml::ModelKind>(kind)) {
-    case ml::ModelKind::kLinearRegression:
-    case ml::ModelKind::kLogisticRegression:
-    case ml::ModelKind::kLinearSvm:
-    case ml::ModelKind::kPoissonRegression:
-      break;
-    default:
-      return InvalidArgumentError("journal payload has unknown model kind " +
-                                  std::to_string(kind));
-  }
-  entry.model = static_cast<ml::ModelKind>(kind);
-  if (payload.size() - offset != buyer_len) {
-    return InvalidArgumentError("journal payload buyer-id length mismatch");
-  }
-  entry.buyer_id = std::string(payload.substr(offset, buyer_len));
+  NIMBUS_ASSIGN_OR_RETURN(entry.model, disk::ModelKindFromByte(kind));
+  entry.buyer_id = std::string(buyer);
   return entry;
 }
 
@@ -220,6 +120,19 @@ uint32_t Journal::Crc32(const void* data, size_t size) {
   return crc ^ 0xFFFFFFFFu;
 }
 
+std::string Journal::EncodeSegment(int64_t base_sequence,
+                                   const std::vector<LedgerEntry>& rows) {
+  std::string image(kMagic, sizeof(kMagic));
+  const auto base = static_cast<uint64_t>(base_sequence);
+  AppendScalar(image, base);
+  AppendScalar(image, Crc32(&base, sizeof(base)));
+  for (const LedgerEntry& row : rows) {
+    const std::string payload = EncodePayload(row);
+    AppendRecord(image, payload, Crc32(payload.data(), payload.size()));
+  }
+  return image;
+}
+
 std::string Journal::EncodePayload(const LedgerEntry& entry) {
   std::string payload;
   payload.reserve(37 + entry.buyer_id.size());
@@ -228,8 +141,7 @@ std::string Journal::EncodePayload(const LedgerEntry& entry) {
   AppendScalar(payload, entry.inverse_ncp);
   AppendScalar(payload, entry.price);
   AppendScalar(payload, entry.expected_error);
-  AppendScalar(payload, static_cast<uint32_t>(entry.buyer_id.size()));
-  AppendRaw(payload, entry.buyer_id.data(), entry.buyer_id.size());
+  disk::AppendString(payload, entry.buyer_id);
   return payload;
 }
 
@@ -277,7 +189,7 @@ StatusOr<Journal> Journal::Open(const std::string& path, Options options) {
   journal.next_sequence_ = base_sequence + existing_records;
   journal.live_bytes_.store(existing_bytes, std::memory_order_relaxed);
   if (needs_header) {
-    const std::string header = SegmentHeader(base_sequence);
+    const std::string header = EncodeSegment(base_sequence, {});
     if (std::fwrite(header.data(), 1, header.size(), file) != header.size()) {
       return InternalError("cannot write journal header to '" + path + "'");
     }
@@ -529,16 +441,17 @@ Status Journal::Seal(int64_t next_base) {
   }
   NIMBUS_RETURN_IF_ERROR(SyncLocked());
   const std::string sealed = SealedSegmentPath(path_, base_sequence_);
-  if (FileExists(sealed)) {
+  if (disk::FileExists(sealed)) {
     return FailedPreconditionError("sealed journal segment '" + sealed +
                                    "' already exists");
   }
   // The fresh segment's header lands before anything is renamed, so a
   // failed write (an injected ENOSPC writes half of it) leaves the live
   // segment untouched.
-  const std::string header = SegmentHeader(next_base);
+  const std::string header = EncodeSegment(next_base, {});
   const std::string tmp = path_ + ".seal.tmp";
-  NIMBUS_RETURN_IF_ERROR(WriteSynced(tmp, header, inject.fire));
+  NIMBUS_RETURN_IF_ERROR(
+      disk::WriteSynced(tmp, header, inject, "journal.rotate"));
   if (std::rename(path_.c_str(), sealed.c_str()) != 0) {
     return InternalError("cannot seal '" + path_ + "' as '" + sealed + "'");
   }
@@ -553,7 +466,7 @@ Status Journal::Seal(int64_t next_base) {
     return InternalError("cannot install a fresh segment at '" + path_ +
                          "'");
   }
-  NIMBUS_RETURN_IF_ERROR(SyncParentDir(path_));
+  NIMBUS_RETURN_IF_ERROR(disk::SyncParentDir(path_));
   // The old handle still points at the sealed inode; reopen the fresh
   // live segment for appending.
   std::fclose(file_);
@@ -582,35 +495,13 @@ StatusOr<std::vector<LedgerEntry>> Journal::Replay(const std::string& path,
   RecoveryReport& rep = report != nullptr ? *report : local;
   rep = RecoveryReport{};
 
-  std::string bytes;
-  {
-    FAULT_POINT("io.read");
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) {
-      return NotFoundError("cannot open journal '" + path + "'");
-    }
-    struct stat st;
-    if (::fstat(fd, &st) == 0) {
-      bytes.resize(static_cast<size_t>(st.st_size));
-    }
-    size_t filled = 0;
-    while (filled < bytes.size()) {
-      const ssize_t n = ::read(fd, bytes.data() + filled, bytes.size() - filled);
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      if (n < 0) {
-        ::close(fd);
-        return InternalError("read error on journal '" + path + "'");
-      }
-      if (n == 0) {
-        break;  // The file shrank under us: replay the shorter file.
-      }
-      filled += static_cast<size_t>(n);
-    }
-    ::close(fd);
-    bytes.resize(filled);
+  StatusOr<std::string> read = disk::ReadFile(path);
+  if (!read.ok()) {
+    return read.status().code() == StatusCode::kNotFound
+               ? NotFoundError("cannot open journal '" + path + "'")
+               : read.status();
   }
+  const std::string& bytes = *read;
 
   std::vector<LedgerEntry> entries;
   size_t offset = 0;
@@ -618,37 +509,27 @@ StatusOr<std::vector<LedgerEntry>> Journal::Replay(const std::string& path,
   if (bytes.empty()) {
     // A fresh (or fully truncated) journal: clean and empty, so Open can
     // stamp the header and start appending.
-  } else if (bytes.size() < sizeof(kMagic)) {
+  } else if (bytes.size() >= sizeof(kMagic) &&
+             std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
+    return InvalidArgumentError("'" + path + "' is not a nimbus journal");
+  } else if (bytes.size() < kSegmentHeaderBytes) {
     // Crash mid-header write: nothing recoverable, but the file is a
     // legitimate torn journal, not garbage.
     rep.tail = TailState::kTorn;
-    rep.detail = "truncated journal header";
-  } else if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) == 0) {
-    offset = sizeof(kMagic);
-    scan_records = true;
-  } else if (std::memcmp(bytes.data(), kMagic2, sizeof(kMagic2)) == 0) {
-    // J2 segment: the base sequence rides in the header, CRC'd so
-    // a bit flip there cannot silently renumber the whole tail.
-    if (bytes.size() < sizeof(kMagic2) + kSegmentHeaderExtra) {
-      rep.tail = TailState::kTorn;
-      rep.detail = "truncated segment header";
-    } else {
-      uint64_t base = 0;
-      uint32_t crc = 0;
-      size_t cursor = sizeof(kMagic2);
-      ReadScalar(bytes, cursor, &base);
-      ReadScalar(bytes, cursor, &crc);
-      if (Crc32(&base, sizeof(base)) != crc) {
-        rep.tail = TailState::kCorrupt;
-        rep.detail = "segment header CRC mismatch";
-      } else {
-        rep.base_sequence = static_cast<int64_t>(base);
-        offset = cursor;
-        scan_records = true;
-      }
-    }
+    rep.detail = "truncated segment header";
   } else {
-    return InvalidArgumentError("'" + path + "' is not a nimbus journal");
+    // The base sequence rides in the header, CRC'd so a bit flip there
+    // cannot silently renumber the whole segment.
+    disk::Reader header(std::string_view(bytes).substr(sizeof(kMagic)));
+    const uint64_t base = header.Read<uint64_t>();
+    if (Crc32(&base, sizeof(base)) != header.Read<uint32_t>()) {
+      rep.tail = TailState::kCorrupt;
+      rep.detail = "segment header CRC mismatch";
+    } else {
+      rep.base_sequence = static_cast<int64_t>(base);
+      offset = kSegmentHeaderBytes;
+      scan_records = true;
+    }
   }
   if (scan_records) {
     while (offset < bytes.size()) {
@@ -660,9 +541,8 @@ StatusOr<std::vector<LedgerEntry>> Journal::Replay(const std::string& path,
       }
       uint32_t length = 0;
       uint32_t crc = 0;
-      size_t cursor = offset;
-      ReadScalar(bytes, cursor, &length);
-      ReadScalar(bytes, cursor, &crc);
+      std::memcpy(&length, bytes.data() + offset, sizeof(length));
+      std::memcpy(&crc, bytes.data() + offset + sizeof(length), sizeof(crc));
       if (length > kMaxPayloadBytes) {
         rep.tail = TailState::kCorrupt;
         rep.detail = "implausible payload length " + std::to_string(length) +
@@ -674,8 +554,8 @@ StatusOr<std::vector<LedgerEntry>> Journal::Replay(const std::string& path,
         rep.detail = "partial record payload at byte " + std::to_string(offset);
         break;
       }
-      const std::string_view payload =
-          std::string_view(bytes).substr(cursor, length);
+      const std::string_view payload(bytes.data() + offset + kRecordHeaderBytes,
+                                     length);
       const uint32_t actual = Crc32(payload.data(), payload.size());
       if (actual != crc) {
         rep.tail = TailState::kCorrupt;
@@ -730,24 +610,7 @@ std::string Journal::SealedSegmentPath(const std::string& path,
 }
 
 std::vector<int64_t> Journal::SealedSegments(const std::string& path) {
-  std::vector<int64_t> bases;
-  const size_t slash = path.find_last_of('/');
-  const std::string prefix =
-      (slash == std::string::npos ? path : path.substr(slash + 1)) + ".seg.";
-  if (DIR* dir = ::opendir(DirName(path).c_str())) {
-    while (const dirent* entry = ::readdir(dir)) {
-      const std::string name = entry->d_name;
-      if (name.size() > prefix.size() && name.rfind(prefix, 0) == 0 &&
-          name.find_first_not_of("0123456789", prefix.size()) ==
-              std::string::npos) {  // Skips `.tmp` leftovers.
-        bases.push_back(std::strtoll(name.c_str() + prefix.size(), nullptr,
-                                     10));
-      }
-    }
-    ::closedir(dir);
-  }
-  std::sort(bases.begin(), bases.end());
-  return bases;
+  return disk::NumberedSiblings(path, ".seg.");
 }
 
 StatusOr<std::vector<LedgerEntry>> Journal::ReadRange(const std::string& path,
@@ -761,7 +624,7 @@ StatusOr<std::vector<LedgerEntry>> Journal::ReadRange(const std::string& path,
   }
   Segment live;
   live.path = path;
-  live.headerless = !FileExists(path);
+  live.headerless = !disk::FileExists(path);
   if (!live.headerless) {
     NIMBUS_RETURN_IF_ERROR(LoadSegment(live, heal_live_tail));
   }
@@ -776,14 +639,6 @@ StatusOr<std::vector<LedgerEntry>> Journal::ReadRange(const std::string& path,
       segment.base = base;
       segment.sealed = true;
     }
-    Segment prev;
-    prev.path = path + ".prev";
-    if (FileExists(prev.path)) {
-      NIMBUS_RETURN_IF_ERROR(LoadSegment(prev, false));
-      if (!prev.headerless) {
-        chain.push_back(std::move(prev));
-      }
-    }
   }
   if (!live.headerless) {
     chain.push_back(std::move(live));
@@ -791,8 +646,7 @@ StatusOr<std::vector<LedgerEntry>> Journal::ReadRange(const std::string& path,
   if (chain.empty()) {
     return NotFoundError("no journal segment at '" + path + "'");
   }
-  // Stable: on a tied base the later kind (live over `.prev` over
-  // sealed) wins below.
+  // Stable: on a tied base the live segment, pushed last, wins below.
   std::stable_sort(chain.begin(), chain.end(),
                    [](const Segment& a, const Segment& b) {
                      return a.base < b.base;
@@ -829,68 +683,6 @@ StatusOr<std::vector<LedgerEntry>> Journal::ReadRange(const std::string& path,
     cursor = stop;
   }
   return rows;
-}
-
-Status Journal::UpgradeLegacySegments(
-    const std::string& path, const std::vector<LedgerEntry>& legacy_rows) {
-  const std::string prev = path + ".prev";
-  if (legacy_rows.empty() && !FileExists(prev)) {
-    return OkStatus();  // A sealed chain: nothing to move.
-  }
-  const bool live_exists = FileExists(path);
-  if (!live_exists && FileExists(prev)) {
-    // A crash between format 2's Rotate renames left `.prev` as the
-    // whole live segment: seal it as it stands.
-    RecoveryReport report;
-    NIMBUS_RETURN_IF_ERROR(Replay(prev, &report).status());
-    const std::string sealed = SealedSegmentPath(path, report.base_sequence);
-    if (std::rename(prev.c_str(), sealed.c_str()) != 0) {
-      return InternalError("cannot seal '" + prev + "' as '" + sealed + "'");
-    }
-    NIMBUS_RETURN_IF_ERROR(SyncParentDir(path));
-  }
-  std::vector<int64_t> sealed = SealedSegments(path);
-  int64_t first_base = sealed.empty() ? kToEnd : sealed.front();
-  if (live_exists && first_base > 0) {
-    RecoveryReport report;
-    ReplayOptions read_only;
-    read_only.truncate_torn_tail = false;
-    NIMBUS_RETURN_IF_ERROR(Replay(path, &report, read_only).status());
-    first_base = std::min(first_base, report.base_sequence);
-  }
-  if (first_base > 0 && first_base != kToEnd && !legacy_rows.empty()) {
-    if (static_cast<int64_t>(legacy_rows.size()) < first_base) {
-      return InternalError(
-          "format-2 snapshot rows end at " +
-          std::to_string(legacy_rows.size()) + ", below the first journal "
-          "segment's base " + std::to_string(first_base));
-    }
-    std::string image = SegmentHeader(0);
-    for (int64_t i = 0; i < first_base; ++i) {
-      const LedgerEntry& row = legacy_rows[static_cast<size_t>(i)];
-      if (row.sequence != i) {
-        return InternalError("format-2 snapshot row " + std::to_string(i) +
-                             " carries sequence " +
-                             std::to_string(row.sequence));
-      }
-      const std::string payload = EncodePayload(row);
-      AppendRecord(image, payload, Crc32(payload.data(), payload.size()));
-    }
-    const std::string target = SealedSegmentPath(path, 0);
-    NIMBUS_RETURN_IF_ERROR(WriteSynced(target + ".tmp", image, false));
-    if (std::rename((target + ".tmp").c_str(), target.c_str()) != 0) {
-      return InternalError("cannot install '" + target + "'");
-    }
-    NIMBUS_RETURN_IF_ERROR(SyncParentDir(path));
-    sealed.insert(sealed.begin(), 0);
-  }
-  // With the chain sealed from 0, `.prev` only repeats rows that sealed
-  // segments and the live segment hold.
-  if (live_exists && !sealed.empty() && sealed.front() == 0 &&
-      FileExists(prev) && std::remove(prev.c_str()) != 0) {
-    return InternalError("cannot remove '" + prev + "'");
-  }
-  return OkStatus();
 }
 
 }  // namespace nimbus::market

@@ -18,8 +18,11 @@
 namespace nimbus::market {
 
 // Append-only binary write-ahead log for the ledger — the durable copy
-// of the seller's audit trail. A journal file is an 8-byte magic header
-// ("NIMBUSJ1") followed by length-prefixed records:
+// of the seller's audit trail. A journal segment is a 20-byte header
+//
+//   "NIMBUSJ2" | u64 base_sequence | u32 crc32(base_sequence)
+//
+// followed by length-prefixed records:
 //
 //   u32 payload_len | u32 crc32(payload) | payload
 //
@@ -29,15 +32,10 @@ namespace nimbus::market {
 // the longest valid record prefix and classifies whatever follows as a
 // torn tail (incomplete trailing record — the signature of a crash
 // mid-append) or corruption (a full-length record whose CRC or encoding
-// is wrong).
-//
-// Sealed segments carry the "NIMBUSJ2" magic followed by
-//
-//   u64 base_sequence | u32 crc32(base_sequence)
-//
-// before the first record: the segment holds the records with sequence
-// >= base_sequence. A J1 file is simply a segment with base sequence 0;
-// both magics replay through the same code path.
+// is wrong). The segment holds the records with sequence >=
+// base_sequence; the header CRC keeps a bit flip from renumbering them.
+// Files of earlier formats are converted by the restore path's upgrader
+// (market/format_upgrade.h) before anything here reads them.
 //
 // A journal is a chain of segments. `path` is the live segment, the
 // only one appended to. Each checkpoint seals it (Seal): the file is
@@ -59,9 +57,8 @@ class Journal {
 
   struct Options {
     FsyncPolicy fsync = FsyncPolicy::kNone;
-    // Base sequence stamped into the header when Open CREATES the file
-    // (> 0 writes a J2 segment header). Ignored for existing files,
-    // whose base comes from their own header.
+    // Base sequence stamped into the header when Open CREATES the file.
+    // Ignored for existing files, whose base comes from their own header.
     int64_t create_base_sequence = 0;
   };
 
@@ -128,7 +125,7 @@ class Journal {
 
   // Seals the live segment at `next_base`, the sequence a checkpoint
   // just covered: fsyncs it, renames it to SealedSegmentPath(path,
-  // base_sequence()), and installs a fresh live segment whose J2 header
+  // base_sequence()), and installs a fresh live segment whose header
   // carries `next_base`. The fresh header is written (to `<path>
   // .seal.tmp`) before anything is renamed, so a failure — including
   // ENOSPC — leaves the live segment intact and appendable. A crash
@@ -140,7 +137,7 @@ class Journal {
 
   const std::string& path() const { return path_; }
 
-  // First sequence the live segment holds (0 for a J1 file).
+  // First sequence the live segment holds.
   int64_t base_sequence() const { return base_sequence_; }
 
   // Current size of the live segment in bytes (header + appended
@@ -159,7 +156,7 @@ class Journal {
     int64_t recovered_records = 0;
     int64_t valid_bytes = 0;    // Header + longest valid record prefix.
     int64_t dropped_bytes = 0;  // Bytes past the valid prefix.
-    int64_t base_sequence = 0;  // From the segment header (0 for J1).
+    int64_t base_sequence = 0;  // From the segment header.
     TailState tail = TailState::kClean;
     std::string detail;         // Human-readable tail diagnosis.
   };
@@ -192,9 +189,14 @@ class Journal {
   // tests constructing hand-corrupted journals).
   static std::string EncodePayload(const LedgerEntry& entry);
 
-  // Inverse of EncodePayload (the legacy snapshot LEDG section shares
-  // the record codec).
+  // Inverse of EncodePayload (the legacy-format upgrader decodes old
+  // snapshots' rows with it).
   static StatusOr<LedgerEntry> DecodePayload(std::string_view payload);
+
+  // A whole segment image: the header for `base_sequence`, then `rows`
+  // framed as records.
+  static std::string EncodeSegment(int64_t base_sequence,
+                                   const std::vector<LedgerEntry>& rows);
 
   // ----- The segment chain -----------------------------------------------
   // `<path>.seg.<base>` (base zero-padded to 12 digits).
@@ -205,14 +207,12 @@ class Journal {
 
   static constexpr int64_t kToEnd = INT64_MAX;
 
-  // The journal's rows [from, end), read across the sealed segments,
-  // the live segment and a legacy `<path>.prev` left by the rotating
-  // journal of snapshot format 2. Segments are taken in base order, and
-  // only those that can hold a row at or past `from` are opened, so a
-  // read from the newest checkpoint opens the live segment alone. Every
+  // The journal's rows [from, end), read across the sealed segments
+  // and the live segment. Segments are taken in base order, and only
+  // those that can hold a row at or past `from` are opened, so a read
+  // from the newest checkpoint opens the live segment alone. Every
   // segment must be dense from its header's base; segments may overlap
-  // (`.prev` does) but not leave a gap, and the chain must reach
-  // `from`. A sealed segment must replay clean: a torn or corrupt one
+  // but not leave a gap, and the chain must reach `from`. A sealed segment must replay clean: a torn or corrupt one
   // fails the read with a Status naming the file, never a short result.
   // The live segment replays leniently (its valid prefix), and
   // `heal_live_tail` truncates a torn live tail the way Replay does —
@@ -222,19 +222,6 @@ class Journal {
   static StatusOr<std::vector<LedgerEntry>> ReadRange(
       const std::string& path, int64_t from, int64_t end = kToEnd,
       bool heal_live_tail = false);
-
-  // Moves a journal written under snapshot format 2 onto sealed
-  // segments. Format 2 rotated the live file down to the previous
-  // checkpoint and kept the history below it only in snapshot LEDG
-  // sections, plus one `.prev` file. This writes `legacy_rows` (a
-  // format-2 rung's LEDG log, rows [0, n)) below the chain's first base
-  // as `<path>.seg.0`, seals a `.prev` that a crash between Rotate's
-  // renames left as the only copy of the live rows, and deletes a
-  // `.prev` that sealed segments now cover. Run by restore before the
-  // journal re-attaches, so it lands before a format-3 checkpoint can
-  // prune the last format-2 snapshot. A no-op on a sealed chain.
-  static Status UpgradeLegacySegments(
-      const std::string& path, const std::vector<LedgerEntry>& legacy_rows);
 
  private:
   Journal(std::string path, Options options, std::FILE* file)

@@ -9,6 +9,7 @@
 
 #include "common/logging.h"
 #include "common/telemetry.h"
+#include "market/format_upgrade.h"
 #include "mechanism/noise_mechanism.h"
 
 namespace nimbus::market {
@@ -49,7 +50,6 @@ telemetry::Histogram& RecoveryLatency() {
 // validated BEFORE any marketplace state mutates — the recovery ladder
 // rejects a candidate and falls back a rung without side effects.
 struct RestoreCandidate {
-  // Aggregates, plus the LEDG rows of a version-1 or -2 snapshot.
   snapshot::State state;
   std::vector<LedgerEntry> base_entries;  // Rows [0, sequence) iff hydrating.
   std::vector<LedgerEntry> tail;          // Rows from state.sequence on.
@@ -114,14 +114,11 @@ StatusOr<RestoreCandidate> BuildCandidate(
         CheckOffered(brokers, kind, "snapshot sales aggregate"));
   }
   const int64_t covered = candidate.state.sequence;
-  // A version-1 or -2 snapshot still carries rows [0, covered) itself.
-  const bool legacy = candidate.state.version < 3;
-  const bool rows_from_journal = hydrate && !legacy;
   NIMBUS_ASSIGN_OR_RETURN(
       std::vector<LedgerEntry> rows,
-      Journal::ReadRange(journal_path, rows_from_journal ? 0 : covered,
-                         Journal::kToEnd, /*heal_live_tail=*/true));
-  if (rows_from_journal) {
+      Journal::ReadRange(journal_path, hydrate ? 0 : covered, Journal::kToEnd,
+                         /*heal_live_tail=*/true));
+  if (hydrate) {
     if (static_cast<int64_t>(rows.size()) < covered) {
       return InternalError("journal holds " + std::to_string(rows.size()) +
                            " rows but the snapshot covers " +
@@ -133,9 +130,6 @@ StatusOr<RestoreCandidate> BuildCandidate(
     candidate.base_entries = std::move(rows);
   } else {
     candidate.tail = std::move(rows);
-    if (hydrate) {
-      candidate.base_entries = candidate.state.entries;
-    }
   }
   for (const LedgerEntry& entry : candidate.base_entries) {
     NIMBUS_RETURN_IF_ERROR(ValidateJournalRow(entry, brokers));
@@ -394,10 +388,6 @@ Status Marketplace::RestoreFromCheckpoint(const std::string& path,
   // inconsistency and aborts the restore rather than trying a deeper
   // rung against half-mutated monitors.
   const auto apply = [&](RestoreCandidate candidate) -> Status {
-    // A version-1 or -2 rung's rows move into the journal before a
-    // version-3 checkpoint can prune the rung.
-    NIMBUS_RETURN_IF_ERROR(
-        Journal::UpgradeLegacySegments(path, candidate.state.entries));
     const int64_t covered = candidate.state.sequence;
     Ledger::EntryLoader loader;
     if (covered > 0) {
@@ -456,6 +446,9 @@ Status Marketplace::RestoreFromCheckpoint(const std::string& path,
   };
 
   const std::vector<int64_t> generations = snapshot::ListGenerations(path);
+  // Files of earlier formats are converted once, before any rung reads
+  // them; every rung below reads the current formats only.
+  NIMBUS_RETURN_IF_ERROR(UpgradeLegacyFormat(path, generations));
   for (size_t i = 0; i < generations.size(); ++i) {
     const int64_t generation = generations[i];
     const std::string snapshot_file = snapshot::SnapshotPath(path, generation);
@@ -488,7 +481,6 @@ Status Marketplace::RestoreFromCheckpoint(const std::string& path,
   for (const LedgerEntry& entry : *entries) {
     NIMBUS_RETURN_IF_ERROR(ValidateJournalRow(entry, brokers_));
   }
-  NIMBUS_RETURN_IF_ERROR(Journal::UpgradeLegacySegments(path, {}));
   NIMBUS_ASSIGN_OR_RETURN(Ledger replayed, Ledger::FromEntries(*entries));
   // Rebuild the collusion-monitor histories so the restarted process
   // reports the same assessments as the one that crashed.

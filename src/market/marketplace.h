@@ -159,9 +159,9 @@ class Marketplace {
   // and before any sale (kFailedPrecondition otherwise, and for a
   // journal naming a model that is not offered); the restored
   // TotalRevenue, sequence numbers, SalesPerPricePoint, and monitor
-  // assessments are bit-identical to the pre-crash marketplace. A
-  // directory written under snapshot format 2 is moved onto sealed
-  // segments first (Journal::UpgradeLegacySegments). Re-attaches the
+  // assessments are bit-identical to the pre-crash marketplace. Files
+  // of earlier on-disk formats are converted first, once
+  // (UpgradeLegacyFormat, market/format_upgrade.h). Re-attaches the
   // journal (healing a torn tail, re-creating a live segment lost in the
   // seal's rename window) so new sales append after the recovered
   // prefix.

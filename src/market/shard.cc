@@ -1,9 +1,7 @@
 #include "market/shard.h"
 
-#include <sys/stat.h>
-#include <sys/types.h>
-
-#include <cerrno>
+#include <filesystem>
+#include <system_error>
 #include <utility>
 
 #include "common/fault.h"
@@ -50,24 +48,13 @@ telemetry::CounterVec& RecoveryFailuresCounter() {
   return counter;
 }
 
-// POSIX mkdir -p.
+// mkdir -p.
 Status MakeDirs(const std::string& path) {
-  std::string prefix;
-  prefix.reserve(path.size());
-  size_t start = 0;
-  while (start <= path.size()) {
-    size_t slash = path.find('/', start);
-    if (slash == std::string::npos) {
-      slash = path.size();
-    }
-    prefix = path.substr(0, slash);
-    start = slash + 1;
-    if (prefix.empty()) {
-      continue;  // Leading '/'.
-    }
-    if (::mkdir(prefix.c_str(), 0777) != 0 && errno != EEXIST) {
-      return InternalError("cannot create shard directory '" + prefix + "'");
-    }
+  std::error_code error;
+  std::filesystem::create_directories(path, error);
+  if (error) {
+    return InternalError("cannot create shard directory '" + path +
+                         "': " + error.message());
   }
   return OkStatus();
 }

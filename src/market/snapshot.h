@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/statusor.h"
-#include "market/ledger.h"
 #include "ml/model.h"
 
 namespace nimbus::market::snapshot {
@@ -41,13 +40,10 @@ namespace nimbus::market::snapshot {
 // manifest is stale or lost, ListGenerations falls back to a directory
 // scan of `<journal>.snap.NNNNNN` files.
 //
-// META carries the format version. Writers emit version 3. Read still
-// accepts the two earlier versions, which carried the full entry log in
-// a LEDG section before FOOT; version 1 also carried BRKR (the retired
-// per-broker sale counters) between COLL and LEDG. Both legacy sections
-// are CRC-checked like any other; BRKR is then dropped, and LEDG loads
-// into State::entries — the rows a restore moves into the journal's
-// first sealed segment (Journal::UpgradeLegacySegments).
+// META carries the format version, 3; Read accepts no other. Images of
+// earlier versions are rewritten as version 3 by the restore path's
+// upgrader (market/format_upgrade.h), which reads them through
+// ReadSections and DecodeState below.
 
 // Per-buyer collusion-monitor history (mirror of CollusionMonitor's
 // internal accumulator, restored bit-identically).
@@ -78,18 +74,13 @@ struct State {
   std::map<ml::ModelKind, int64_t> sales_by_model;
   // Per-offering collusion-monitor histories.
   std::map<ml::ModelKind, MonitorState> monitors;
-  // Format version the file was read from (Read fills it in; Write
-  // always emits the current one).
-  uint32_t version = 0;
-  // Versions 1 and 2 only: the LEDG entry log, rows [0, sequence). Write
-  // ignores it.
-  std::vector<LedgerEntry> entries;
 };
 
-// Reads and validates a snapshot. Every failure mode — missing file,
-// truncation at any byte offset, flipped CRC or header field, footer
-// mismatch — returns a non-OK Status; a Status is never OK for a file
-// that could mis-restore. Fault points: `io.read`.
+// Reads and validates a version-3 snapshot: exactly META, AGGR, COLL
+// and FOOT. Every failure mode — missing file, truncation at any byte
+// offset, flipped CRC or header field, footer mismatch, another version
+// — returns a non-OK Status; a Status is never OK for a file that could
+// mis-restore. Fault points: `io.read`.
 StatusOr<State> Read(const std::string& path);
 
 // Serializes `state` and commits it atomically: write to `path + ".tmp"`,
@@ -98,6 +89,32 @@ StatusOr<State> Read(const std::string& path);
 // (emulates a crash mid-write by leaving a half-written temp file),
 // `snapshot.fsync`, `snapshot.rename`.
 StatusOr<int64_t> Write(const std::string& path, const State& state);
+
+// ----- Section framing, shared by every format version ---------------------
+
+constexpr uint32_t FourCc(char a, char b, char c, char d) {
+  return static_cast<uint32_t>(static_cast<unsigned char>(a)) |
+         static_cast<uint32_t>(static_cast<unsigned char>(b)) << 8 |
+         static_cast<uint32_t>(static_cast<unsigned char>(c)) << 16 |
+         static_cast<uint32_t>(static_cast<unsigned char>(d)) << 24;
+}
+
+struct Section {
+  uint32_t tag = 0;
+  std::string payload;
+};
+
+// Reads the framing of the snapshot at `path`: the magic, every
+// section's header and CRC, and FOOT's table against the sections before
+// it. Returns the sections before FOOT in file order; which tags may
+// appear is the caller's check. Fault points: `io.read`.
+StatusOr<std::vector<Section>> ReadSections(const std::string& path);
+
+// Decodes the META, AGGR and COLL sections every version's body opens
+// with into a State; `version` receives META's format version.
+StatusOr<State> DecodeState(const std::string& path,
+                            const std::vector<Section>& sections,
+                            uint32_t* version);
 
 // ----- Generation manifest -------------------------------------------------
 

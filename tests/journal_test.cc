@@ -94,11 +94,17 @@ void ExpectSameEntry(const LedgerEntry& a, const LedgerEntry& b) {
   EXPECT_EQ(a.expected_error, b.expected_error);
 }
 
+// The segment header's size, read from the image: the 8-byte magic
+// and, after "NIMBUSJ2", the base sequence and its CRC.
+size_t SegmentHeaderBytes(const std::string& bytes) {
+  return bytes.rfind("NIMBUSJ2", 0) == 0 ? 20 : 8;
+}
+
 // Byte offsets (and total spans) of each record in a journal image,
 // derived from the length prefixes; used to aim corruption precisely.
 std::vector<std::pair<size_t, size_t>> RecordSpans(const std::string& bytes) {
   std::vector<std::pair<size_t, size_t>> spans;
-  size_t offset = 8;  // Magic header.
+  size_t offset = SegmentHeaderBytes(bytes);
   while (offset + 8 <= bytes.size()) {
     uint32_t length = 0;
     std::memcpy(&length, bytes.data() + offset, sizeof(length));
@@ -267,7 +273,7 @@ TEST(JournalTest, ImplausibleLengthIsCorruptNotAllocated) {
   std::string bytes = ReadFileBytes(path);
   // Stamp a ~4 GiB length into the first record's prefix.
   const uint32_t huge = 0xFFFFFF00u;
-  std::memcpy(&bytes[8], &huge, sizeof(huge));
+  std::memcpy(&bytes[SegmentHeaderBytes(bytes)], &huge, sizeof(huge));
   WriteFileBytes(path, bytes);
   Journal::RecoveryReport report;
   StatusOr<std::vector<LedgerEntry>> back = Journal::Replay(path, &report);

@@ -45,8 +45,7 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
 }
 
 // A state exercising every section: multiple models, buyers with
-// hostile ids, non-trivial doubles, and the short entry log the legacy
-// images below carry (the current writer ignores it).
+// hostile ids, non-trivial doubles.
 snapshot::State SampleState() {
   snapshot::State state;
   state.generation = 3;
@@ -63,17 +62,6 @@ snapshot::State SampleState() {
   monitor.buyers["alice"] = snapshot::BuyerHistoryState{2, 4.0, 22.0};
   monitor.buyers["bob,\"evil\"\nid"] =
       snapshot::BuyerHistoryState{2, 8.0, 35.75};
-  for (int i = 0; i < 4; ++i) {
-    LedgerEntry entry;
-    entry.sequence = i;
-    entry.buyer_id = i % 2 == 0 ? "alice" : "bob,\"evil\"\nid";
-    entry.model = i % 2 == 0 ? ml::ModelKind::kLogisticRegression
-                             : ml::ModelKind::kLinearSvm;
-    entry.inverse_ncp = 2.0 * (1 + i % 2);
-    entry.price = i % 2 == 0 ? 11.0 : 17.875;
-    entry.expected_error = 0.25 / (1 + i);
-    state.entries.push_back(std::move(entry));
-  }
   return state;
 }
 
@@ -101,85 +89,6 @@ void ExpectSameAggregates(const snapshot::State& a, const snapshot::State& b) {
   }
 }
 
-void ExpectSameEntries(const std::vector<LedgerEntry>& a,
-                       const std::vector<LedgerEntry>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].sequence, b[i].sequence);
-    EXPECT_EQ(a[i].buyer_id, b[i].buyer_id);
-    EXPECT_EQ(a[i].model, b[i].model);
-    EXPECT_EQ(a[i].inverse_ncp, b[i].inverse_ncp);
-    EXPECT_EQ(a[i].price, b[i].price);
-    EXPECT_EQ(a[i].expected_error, b[i].expected_error);
-  }
-}
-
-std::string FromHex(const std::string& hex) {
-  std::string bytes;
-  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
-    bytes += static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16));
-  }
-  return bytes;
-}
-
-// A version-1 image: SampleState() as written by the format before the
-// BRKR section was retired (META, AGGR, COLL, BRKR, LEDG, FOOT), with
-// broker counters {logistic: 2 sales, 22.0; svm: 2 sales, 35.75}.
-std::string VersionOneSampleImage() {
-  const std::string hex =
-      "4e494d42555353314d455441000000001400000000000000c31a30c701000000"
-      "0300000000000000040000000000000041474752000000008600000000000000"
-      "5a04643e0000000000e04c4002000000010000000000003640020000000000e0"
-      "4140020000000102000000000000000202000000000000000200000000000000"
-      "0000004002000000000000000000000000001040020000000000000002000000"
-      "05000000616c69636500000000000036400d000000626f622c226576696c220a"
-      "69640000000000e04140434f4c4c000000004b000000000000006a2d59a50100"
-      "0000010200000005000000616c69636502000000000000000000104000000000"
-      "000036400d000000626f622c226576696c220a69640200000000000000000020"
-      "400000000000e0414042524b520000000026000000000000005b7aa966020000"
-      "0001020000000000000000000000000036400202000000000000000000000000"
-      "e041404c45444700000000d000000000000000e1b4947704000000000000002a"
-      "0000000000000000000000010000000000000040000000000000264000000000"
-      "0000d03f05000000616c69636532000000010000000000000002000000000000"
-      "10400000000000e03140000000000000c03f0d000000626f622c226576696c22"
-      "0a69642a00000002000000000000000100000000000000400000000000002640"
-      "555555555555b53f05000000616c696365320000000300000000000000020000"
-      "0000000010400000000000e03140000000000000b03f0d000000626f622c2265"
-      "76696c220a6964464f4f54000000007c000000000000005e620d7b050000004d"
-      "45544108000000000000001400000000000000c31a30c7414747523000000000"
-      "00000086000000000000005a04643e434f4c4cca000000000000004b00000000"
-      "0000006a2d59a542524b52290100000000000026000000000000005b7aa9664c"
-      "4544476301000000000000d000000000000000e1b49477";
-  return FromHex(hex);
-}
-
-// A version-2 image: SampleState() as written by the format before rows
-// moved to sealed journal segments (META, AGGR, COLL, LEDG, FOOT).
-std::string VersionTwoSampleImage() {
-  return FromHex(
-      "4e494d42555353314d4554410000000014000000000000000957996802000000"
-      "0300000000000000040000000000000041474752000000008600000000000000"
-      "5a04643e0000000000e04c4002000000010000000000003640020000000000e0"
-      "4140020000000102000000000000000202000000000000000200000000000000"
-      "0000004002000000000000000000000000001040020000000000000002000000"
-      "05000000616c69636500000000000036400d000000626f622c226576696c220a"
-      "69640000000000e04140434f4c4c000000004b000000000000006a2d59a50100"
-      "0000010200000005000000616c69636502000000000000000000104000000000"
-      "000036400d000000626f622c226576696c220a69640200000000000000000020"
-      "400000000000e041404c45444700000000d000000000000000e1b49477040000"
-      "00000000002a0000000000000000000000010000000000000040000000000000"
-      "2640000000000000d03f05000000616c69636532000000010000000000000002"
-      "00000000000010400000000000e03140000000000000c03f0d000000626f622c"
-      "226576696c220a69642a00000002000000000000000100000000000000400000"
-      "000000002640555555555555b53f05000000616c696365320000000300000000"
-      "0000000200000000000010400000000000e03140000000000000b03f0d000000"
-      "626f622c226576696c220a6964464f4f54000000006400000000000000964911"
-      "bd040000004d4554410800000000000000140000000000000009579968414747"
-      "52300000000000000086000000000000005a04643e434f4c4cca000000000000"
-      "004b000000000000006a2d59a54c4544472901000000000000d0000000000000"
-      "00e1b49477");
-}
-
 TEST(SnapshotTest, WriteReadRoundTripIsBitIdentical) {
   const std::string path = TempPath("nimbus_snapshot_roundtrip.snap");
   const snapshot::State state = SampleState();
@@ -192,88 +101,22 @@ TEST(SnapshotTest, WriteReadRoundTripIsBitIdentical) {
 
   StatusOr<snapshot::State> back = snapshot::Read(path);
   ASSERT_TRUE(back.ok()) << back.status();
-  EXPECT_EQ(back->version, 3u);
   ExpectSameAggregates(state, *back);
-  EXPECT_TRUE(back->entries.empty());
   std::remove(path.c_str());
-}
-
-// Journal directories checkpointed by the previous formats keep their
-// snapshot rungs: a version-1 image still reads, its BRKR section is
-// CRC-checked and dropped, and the rest restores bit-identically.
-TEST(SnapshotTest, ReadsVersionOneImageAndDropsBrokerSection) {
-  const std::string path = TempPath("nimbus_snapshot_v1.snap");
-  const std::string bytes = VersionOneSampleImage();
-  ASSERT_EQ(bytes.size(), 727u);
-  WriteFileBytes(path, bytes);
-
-  const snapshot::State state = SampleState();
-  StatusOr<snapshot::State> back = snapshot::Read(path);
-  ASSERT_TRUE(back.ok()) << back.status();
-  EXPECT_EQ(back->version, 1u);
-  ExpectSameAggregates(state, *back);
-  ExpectSameEntries(state.entries, back->entries);
-
-  // The dropped section is still integrity-checked: a flip in the BRKR
-  // payload rejects the file.
-  const size_t brkr = bytes.find("BRKR");
-  ASSERT_NE(brkr, std::string::npos);
-  std::string corrupted = bytes;
-  const size_t payload = brkr + 20;  // Past tag, flags, length and CRC.
-  corrupted[payload] = static_cast<char>(corrupted[payload] ^ 0x01);
-  WriteFileBytes(path, corrupted);
-  EXPECT_FALSE(snapshot::Read(path).ok());
-
-  // The current writer no longer emits the section.
-  ASSERT_TRUE(snapshot::Write(path, state).ok());
-  EXPECT_EQ(ReadFileBytes(path).find("BRKR"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-// A version-2 image reads with its LEDG entry log, CRC-checked like
-// every section: a flip in the rows rejects the file.
-TEST(SnapshotTest, ReadsVersionTwoImageAndItsEntryLog) {
-  const std::string path = TempPath("nimbus_snapshot_v2.snap");
-  const std::string bytes = VersionTwoSampleImage();
-  ASSERT_EQ(bytes.size(), 645u);
-  WriteFileBytes(path, bytes);
-
-  const snapshot::State state = SampleState();
-  StatusOr<snapshot::State> back = snapshot::Read(path);
-  ASSERT_TRUE(back.ok()) << back.status();
-  EXPECT_EQ(back->version, 2u);
-  ExpectSameAggregates(state, *back);
-  ExpectSameEntries(state.entries, back->entries);
-
-  const size_t ledg = bytes.find("LEDG");
-  ASSERT_NE(ledg, std::string::npos);
-  std::string corrupted = bytes;
-  const size_t payload = ledg + 40;  // Inside the first row.
-  corrupted[payload] = static_cast<char>(corrupted[payload] ^ 0x01);
-  WriteFileBytes(path, corrupted);
-  EXPECT_FALSE(snapshot::Read(path).ok());
-  std::remove(path.c_str());
-}
-
-// The images the byte-level properties below run over: the current
-// writer's, and a legacy one whose LEDG rows the reader decodes.
-std::vector<std::string> PropertyImages(const std::string& path) {
-  EXPECT_TRUE(snapshot::Write(path, SampleState()).ok());
-  return {ReadFileBytes(path), VersionTwoSampleImage()};
 }
 
 // Property: a snapshot truncated at ANY byte offset is rejected. No
 // prefix of a valid snapshot is a valid snapshot.
 TEST(SnapshotTest, TruncationAtEveryByteOffsetIsRejected) {
   const std::string path = TempPath("nimbus_snapshot_trunc.snap");
-  for (const std::string& bytes : PropertyImages(path)) {
-    ASSERT_GT(bytes.size(), 100u);
-    for (size_t length = 0; length < bytes.size(); ++length) {
-      WriteFileBytes(path, bytes.substr(0, length));
-      EXPECT_FALSE(snapshot::Read(path).ok())
-          << "read accepted a snapshot truncated to " << length << " of "
-          << bytes.size() << " bytes";
-    }
+  ASSERT_TRUE(snapshot::Write(path, SampleState()).ok());
+  const std::string bytes = ReadFileBytes(path);
+  ASSERT_GT(bytes.size(), 100u);
+  for (size_t length = 0; length < bytes.size(); ++length) {
+    WriteFileBytes(path, bytes.substr(0, length));
+    EXPECT_FALSE(snapshot::Read(path).ok())
+        << "read accepted a snapshot truncated to " << length << " of "
+        << bytes.size() << " bytes";
   }
   std::remove(path.c_str());
 }
@@ -283,15 +126,15 @@ TEST(SnapshotTest, TruncationAtEveryByteOffsetIsRejected) {
 // the headers.
 TEST(SnapshotTest, BitFlipAtEveryByteIsRejected) {
   const std::string path = TempPath("nimbus_snapshot_flip.snap");
-  for (const std::string& bytes : PropertyImages(path)) {
-    for (size_t offset = 0; offset < bytes.size(); ++offset) {
-      std::string corrupted = bytes;
-      corrupted[offset] = static_cast<char>(corrupted[offset] ^ 0x40);
-      WriteFileBytes(path, corrupted);
-      EXPECT_FALSE(snapshot::Read(path).ok())
-          << "read accepted a bit flip at byte " << offset << " of "
-          << bytes.size();
-    }
+  ASSERT_TRUE(snapshot::Write(path, SampleState()).ok());
+  const std::string bytes = ReadFileBytes(path);
+  for (size_t offset = 0; offset < bytes.size(); ++offset) {
+    std::string corrupted = bytes;
+    corrupted[offset] = static_cast<char>(corrupted[offset] ^ 0x40);
+    WriteFileBytes(path, corrupted);
+    EXPECT_FALSE(snapshot::Read(path).ok())
+        << "read accepted a bit flip at byte " << offset << " of "
+        << bytes.size();
   }
   std::remove(path.c_str());
 }
@@ -444,10 +287,6 @@ Marketplace MakeMarket(uint64_t seed) {
   return market;
 }
 
-bool FileExists(const std::string& path) {
-  return std::ifstream(path).good();
-}
-
 void RemoveRecoveryFilesOf(const std::string& journal_path) {
   for (const std::string& file : RecoveryFiles(journal_path)) {
     std::remove(file.c_str());
@@ -597,8 +436,7 @@ TEST(SnapshotLadderTest, TruncatedNewestGenerationFallsBackBitIdentically) {
 
 // Companion property: flipping a byte ANYWHERE in the newest snapshot
 // (every offset — headers, payloads, footer) falls back to generation 1
-// and restores bit-identically. The eager-hydration restore CRC-checks
-// the LEDG payload too, so no flip anywhere survives.
+// and restores bit-identically.
 TEST(SnapshotLadderTest, ByteFlipAnywhereFallsBackBitIdentically) {
   const LadderFixture fixture = BuildLadderFixture("nimbus_ladder_flip.waj");
   const size_t size = fixture.pristine_newest.size();
@@ -807,213 +645,6 @@ TEST(SnapshotLadderTest, RestoreRejectsNonEmptyMarketAndMissingEverything) {
       busy.Buy("carol", ml::ModelKind::kLinearSvm, 5.0, "zero_one").ok());
   EXPECT_EQ(busy.RestoreFromCheckpoint(path).code(),
             StatusCode::kFailedPrecondition);
-}
-
-// ---------------------------------------------------------------------------
-// Directories written under snapshot format 2, by the rotating journal:
-// checkpoints at 4, 7 and 9 over the history below, two more sales, so
-// generations 2 and 3 hold LEDG logs, the live segment starts at 7, and
-// `.prev` holds [4, 9). Rows [0, 4) exist only in the snapshots.
-
-struct LegacySale {
-  const char* buyer;
-  ml::ModelKind model;
-  double x;
-};
-
-constexpr LegacySale kLegacySales[] = {
-    {"alice", ml::ModelKind::kLogisticRegression, 10.0},
-    {"alice", ml::ModelKind::kLogisticRegression, 10.0},
-    {"bob,\"evil\"\nid", ml::ModelKind::kLinearSvm, 5.0},
-    {"carol", ml::ModelKind::kLinearSvm, 25.0},
-    {"alice", ml::ModelKind::kLinearSvm, 5.0},
-    {"dave", ml::ModelKind::kLogisticRegression, 2.0},
-    {"carol", ml::ModelKind::kLinearSvm, 25.0},
-    {"erin", ml::ModelKind::kLogisticRegression, 10.0},
-    {"alice", ml::ModelKind::kLogisticRegression, 10.0},
-    {"frank", ml::ModelKind::kLinearSvm, 5.0},
-    {"dave", ml::ModelKind::kLogisticRegression, 40.0},
-};
-
-// The oracle: the first `n` legacy sales fed into a fresh marketplace.
-std::string LegacyCsv(size_t n) {
-  Marketplace market = MakeMarket(17);
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_TRUE(market
-                    .Buy(kLegacySales[i].buyer, kLegacySales[i].model,
-                         kLegacySales[i].x, "zero_one")
-                    .ok());
-  }
-  return market.ledger().ToCsv();
-}
-
-// Writes the format-2 directory's files at `journal_path`.
-void WriteVersionTwoDirectory(const std::string& journal_path,
-                              bool with_live_segment) {
-  RemoveRecoveryFilesOf(journal_path);
-  WriteFileBytes(snapshot::SnapshotPath(journal_path, 2), FromHex(
-      "4e494d42555353314d4554410000000014000000000000007bc17e4802000000"
-      "020000000000000007000000000000004147475200000000c700000000000000"
-      "897e0c6b5934c50b424172400200000001951ba58011ff594002e6da3757fb82"
-      "6740020000000103000000000000000204000000000000000400000000000000"
-      "0000004001000000000000000000000000001440020000000000000000000000"
-      "0000244002000000000000000000000000003940020000000000000004000000"
-      "05000000616c696365cd62bdd6d9975e400d000000626f622c226576696c220a"
-      "696474854c9337a53e40050000006361726f6c1373c9e45ab35f400400000064"
-      "6176652ad1d6752c842840434f4c4c00000000a600000000000000cb80c40402"
-      "000000010200000005000000616c6963650200000000000000000034407041ea"
-      "f18bee564004000000646176650100000000000000000000402ad1d6752c8428"
-      "40020300000005000000616c69636501000000000000000000144074854c9337"
-      "a53e400d000000626f622c226576696c220a6964010000000000000000001440"
-      "74854c9337a53e40050000006361726f6c0200000000000000000049401373c9"
-      "e45ab35f404c454447000000005101000000000000f01b12b307000000000000"
-      "002a00000000000000000000000100000000000024407041eaf18bee4640660b"
-      "c2a8d93fcf3f05000000616c6963652a00000001000000000000000100000000"
-      "000024407041eaf18bee4640660bc2a8d93fcf3f05000000616c696365320000"
-      "00020000000000000002000000000000144074854c9337a53e40b821175ff4a7"
-      "d23f0d000000626f622c226576696c220a69642a000000030000000000000002"
-      "00000000000039401373c9e45ab34f405dfccfd6107ece3f050000006361726f"
-      "6c2a000000040000000000000002000000000000144074854c9337a53e40b821"
-      "175ff4a7d23f05000000616c6963652900000005000000000000000100000000"
-      "000000402ad1d6752c842840ead6520a0de8d03f04000000646176652a000000"
-      "06000000000000000200000000000039401373c9e45ab34f405dfccfd6107ece"
-      "3f050000006361726f6c464f4f5400000000640000000000000021bfdcc60400"
-      "00004d455441080000000000000014000000000000007bc17e48414747523000"
-      "000000000000c700000000000000897e0c6b434f4c4c0b01000000000000a600"
-      "000000000000cb80c4044c454447c5010000000000005101000000000000f01b"
-      "12b3"));
-  WriteFileBytes(snapshot::SnapshotPath(journal_path, 3), FromHex(
-      "4e494d42555353314d455441000000001400000000000000d8429cf302000000"
-      "030000000000000009000000000000004147475200000000d700000000000000"
-      "f187e2b1b5c43f08e5fc7740020000000182ae47b9ce76684002e6da3757fb82"
-      "6740020000000105000000000000000204000000000000000400000000000000"
-      "0000004001000000000000000000000000001440020000000000000000000000"
-      "0000244004000000000000000000000000003940020000000000000005000000"
-      "05000000616c696365c241d9e78f0765400d000000626f622c226576696c220a"
-      "696474854c9337a53e40050000006361726f6c1373c9e45ab35f400400000064"
-      "6176652ad1d6752c842840040000006572696e7041eaf18bee4640434f4c4c00"
-      "000000c200000000000000670d86e202000000010300000005000000616c6963"
-      "65030000000000000000003e4014b16ff5e83261400400000064617665010000"
-      "0000000000000000402ad1d6752c842840040000006572696e01000000000000"
-      "00000024407041eaf18bee4640020300000005000000616c6963650100000000"
-      "0000000000144074854c9337a53e400d000000626f622c226576696c220a6964"
-      "01000000000000000000144074854c9337a53e40050000006361726f6c020000"
-      "0000000000000049401373c9e45ab35f404c45444700000000ac010000000000"
-      "0077e625c809000000000000002a000000000000000000000001000000000000"
-      "24407041eaf18bee4640660bc2a8d93fcf3f05000000616c6963652a00000001"
-      "000000000000000100000000000024407041eaf18bee4640660bc2a8d93fcf3f"
-      "05000000616c6963653200000002000000000000000200000000000014407485"
-      "4c9337a53e40b821175ff4a7d23f0d000000626f622c226576696c220a69642a"
-      "00000003000000000000000200000000000039401373c9e45ab34f405dfccfd6"
-      "107ece3f050000006361726f6c2a000000040000000000000002000000000000"
-      "144074854c9337a53e40b821175ff4a7d23f05000000616c6963652900000005"
-      "000000000000000100000000000000402ad1d6752c842840ead6520a0de8d03f"
-      "04000000646176652a00000006000000000000000200000000000039401373c9"
-      "e45ab34f405dfccfd6107ece3f050000006361726f6c29000000070000000000"
-      "00000100000000000024407041eaf18bee4640660bc2a8d93fcf3f0400000065"
-      "72696e2a00000008000000000000000100000000000024407041eaf18bee4640"
-      "660bc2a8d93fcf3f05000000616c696365464f4f540000000064000000000000"
-      "00c3ba1bc5040000004d45544108000000000000001400000000000000d8429c"
-      "f3414747523000000000000000d700000000000000f187e2b1434f4c4c1b0100"
-      "0000000000c200000000000000670d86e24c454447f101000000000000ac0100"
-      "000000000077e625c8"));
-  WriteFileBytes(snapshot::ManifestPath(journal_path), FromHex(
-      "4e494d4255534d310a67656e65726174696f6e20330a73657175656e63652039"
-      "0a707265765f67656e65726174696f6e20320a707265765f73657175656e6365"
-      "20370a637263203338323633373736330a"));
-  WriteFileBytes(journal_path + ".prev", FromHex(
-      "4e494d4255534a32040000000000000093d168e12a000000e147895d04000000"
-      "0000000002000000000000144074854c9337a53e40b821175ff4a7d23f050000"
-      "00616c69636529000000dd6c583505000000000000000100000000000000402a"
-      "d1d6752c842840ead6520a0de8d03f04000000646176652a000000fe231cf006"
-      "000000000000000200000000000039401373c9e45ab34f405dfccfd6107ece3f"
-      "050000006361726f6c290000001161bf5d070000000000000001000000000000"
-      "24407041eaf18bee4640660bc2a8d93fcf3f040000006572696e2a00000014af"
-      "71ba08000000000000000100000000000024407041eaf18bee4640660bc2a8d9"
-      "3fcf3f05000000616c696365"));
-  if (with_live_segment) {
-    WriteFileBytes(journal_path, FromHex(
-        "4e494d4255534a32070000000000000070d6e76f290000001161bf5d07000000"
-        "000000000100000000000024407041eaf18bee4640660bc2a8d93fcf3f040000"
-        "006572696e2a00000014af71ba08000000000000000100000000000024407041"
-        "eaf18bee4640660bc2a8d93fcf3f05000000616c6963652a0000008d10bd4209"
-        "0000000000000002000000000000144074854c9337a53e40b821175ff4a7d23f"
-        "050000006672616e6b290000000a2f78ed0a0000000000000001000000000000"
-        "444036486018f7905240723d0ad7a370cd3f0400000064617665"));
-  }
-}
-
-// A format-2 directory restores byte-identically, moves its rows onto
-// sealed segments, and keeps every row after three format-3
-// checkpoints prune both format-2 generations.
-TEST(SnapshotLadderTest, VersionTwoDirectoryUpgradesAndSurvivesPruning) {
-  const std::string path = TempPath("nimbus_ladder_v2.waj");
-  WriteVersionTwoDirectory(path, /*with_live_segment=*/true);
-  const std::string expected = LegacyCsv(std::size(kLegacySales));
-
-  Marketplace restored = MakeMarket(17);
-  Marketplace::RestoreReport report;
-  Status status = restored.RestoreFromCheckpoint(
-      path, Marketplace::RestoreOptions{}, &report);
-  ASSERT_TRUE(status.ok()) << status;
-  EXPECT_EQ(report.source, Marketplace::RestoreReport::Source::kSnapshot);
-  EXPECT_EQ(report.generation, 3);
-  EXPECT_EQ(report.snapshot_records, 9);
-  EXPECT_EQ(report.tail_records, 2);
-  EXPECT_EQ(restored.ledger().ToCsv(), expected);
-  // Rows [0, 7) moved into the first sealed segment; `.prev` is gone.
-  EXPECT_EQ(Journal::SealedSegments(path), std::vector<int64_t>{0});
-  EXPECT_FALSE(FileExists(path + ".prev"));
-
-  ASSERT_TRUE(restored.EnableCheckpoints(CheckpointPolicy{}).ok());
-  for (int64_t generation = 4; generation <= 6; ++generation) {
-    ASSERT_TRUE(restored
-                    .Buy("gina", ml::ModelKind::kLinearSvm,
-                         3.0 + static_cast<double>(generation), "zero_one")
-                    .ok());
-    ASSERT_EQ(*restored.CheckpointNow(), generation);
-  }
-  ASSERT_EQ(snapshot::ListGenerations(path), (std::vector<int64_t>{6, 5}));
-  const std::string csv = restored.ledger().ToCsv();
-  EXPECT_EQ(csv.rfind(expected, 0), 0u);
-
-  for (const bool hydrate : {true, false}) {
-    Marketplace again = MakeMarket(17);
-    Marketplace::RestoreOptions options;
-    options.hydrate = hydrate;
-    ASSERT_TRUE(again.RestoreFromCheckpoint(path, options).ok());
-    ASSERT_TRUE(again.HydrateLedger().ok());
-    EXPECT_EQ(again.ledger().ToCsv(), csv) << "hydrate=" << hydrate;
-  }
-  RemoveRecoveryFilesOf(path);
-}
-
-// A format-2 directory caught between Rotate's two renames: no live
-// segment, `.prev` holding the whole live history. It restores, and the
-// upgrade seals `.prev` as it stands.
-TEST(SnapshotLadderTest, VersionTwoRotationCrashWindowRestores) {
-  const std::string path = TempPath("nimbus_ladder_v2_window.waj");
-  WriteVersionTwoDirectory(path, /*with_live_segment=*/false);
-  const std::string expected = LegacyCsv(9);  // Sales 9 and 10 never landed.
-
-  Marketplace restored = MakeMarket(17);
-  Marketplace::RestoreReport report;
-  Status status = restored.RestoreFromCheckpoint(
-      path, Marketplace::RestoreOptions{}, &report);
-  ASSERT_TRUE(status.ok()) << status;
-  EXPECT_EQ(report.generation, 3);
-  EXPECT_EQ(report.tail_records, 0);
-  EXPECT_EQ(restored.ledger().ToCsv(), expected);
-  EXPECT_EQ(Journal::SealedSegments(path), (std::vector<int64_t>{0, 4}));
-  EXPECT_FALSE(FileExists(path + ".prev"));
-
-  ASSERT_TRUE(
-      restored.Buy("gina", ml::ModelKind::kLinearSvm, 5.0, "zero_one").ok());
-  ASSERT_TRUE(restored.FlushJournal().ok());
-  Marketplace again = MakeMarket(17);
-  ASSERT_TRUE(again.RestoreFromCheckpoint(path).ok());
-  EXPECT_EQ(again.ledger().ToCsv(), restored.ledger().ToCsv());
-  RemoveRecoveryFilesOf(path);
 }
 
 }  // namespace
